@@ -9,9 +9,9 @@
 //! cost, by contrast, is tone-count-insensitive.
 
 use rfsim::circuit::transient::{transient, TranOptions};
-use rfsim::steady::{solve_hb, solve_hb_sweep, HbOptions, SpectralGrid, ToneAxis};
-use rfsim_bench::{heading, sweep_cold, switching_mixer, timed, MixerSpec};
-use rfsim_observe::Harness;
+use rfsim::steady::{solve_hb, HbOptions, HbSweep, SpectralGrid, ToneAxis};
+use rfsim_bench::{heading, switching_mixer, timed, MixerSpec};
+use rfsim_observe::{Harness, SweepMode};
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
@@ -88,7 +88,7 @@ fn run(harness: &mut Harness) -> Result<(), String> {
     // harmonic-block preconditioner, and the recycled Krylov subspace
     // across points; RFSIM_SWEEP_MODE=cold reruns every point from
     // scratch so CI can gate the speedup.
-    let cold = sweep_cold();
+    let cold = SweepMode::from_env() == SweepMode::Cold;
     heading(if cold {
         "RF drive-level sweep — COLD (every point from scratch)"
     } else {
@@ -119,10 +119,10 @@ fn run(harness: &mut Harness) -> Result<(), String> {
                         })
                         .collect::<Result<Vec<_>, _>>()
                 } else {
-                    let refs: Vec<&dyn rfsim::circuit::dae::Dae> =
-                        daes.iter().map(|d| d as &dyn rfsim::circuit::dae::Dae).collect();
-                    solve_hb_sweep(&refs, &grid2, &sweep_opts)
-                        .map_err(|e| format!("warm sweep: {e}"))
+                    let mut sweep = HbSweep::new(&grid2, &sweep_opts);
+                    daes.iter()
+                        .map(|dae| sweep.solve(dae).map_err(|e| format!("warm sweep: {e}")))
+                        .collect::<Result<Vec<_>, _>>()
                 }
             });
             let sols = sols?;

@@ -10,8 +10,8 @@
 //! and |S₁₁| from 0.2 GHz to past self-resonance.
 
 use rfsim::em::inductor::SpiralInductor;
-use rfsim_bench::{heading, sweep_adaptive, sweep_cold};
-use rfsim_observe::Harness;
+use rfsim_bench::heading;
+use rfsim_observe::{Harness, SweepMode};
 use std::process::ExitCode;
 
 /// Deterministic pseudo-noise in [−1, 1] (measurement jitter surrogate).
@@ -117,8 +117,8 @@ fn run(h: &mut Harness) -> Result<(), String> {
     // from the fit); RFSIM_SWEEP_MODE=cold rebuilds the half-space
     // matrix and solves from scratch at every point, which is what CI
     // gates the speedup against.
-    let cold = sweep_cold();
-    let adaptive = sweep_adaptive();
+    let mode = SweepMode::from_env();
+    let (cold, adaptive) = (mode == SweepMode::Cold, mode == SweepMode::Adaptive);
     heading(if cold {
         "substrate-relaxation C_ox(f) sweep — COLD (rebuild per point)"
     } else if adaptive {

@@ -16,8 +16,8 @@
 //! `rfsim-report --min-speedup 1.3 --speedup-metric "serve:"` gate
 //! requires the warm steady leg to be ≥1.3× cheaper than the cold one.
 
-use rfsim_bench::{heading, sweep_cold};
-use rfsim_observe::Harness;
+use rfsim_bench::heading;
+use rfsim_observe::{Harness, SweepMode};
 use rfsim_serve::{Client, Server, ServerConfig};
 use rfsim_telemetry::{Histogram, Json};
 use std::process::ExitCode;
@@ -117,7 +117,7 @@ fn mean(xs: &[f64]) -> f64 {
 
 fn run(h: &mut Harness) -> Result<(), String> {
     println!("E13: persistent service throughput (warm-cache job scheduling)");
-    let cold = sweep_cold();
+    let cold = SweepMode::from_env() == SweepMode::Cold;
     if cold {
         println!("RFSIM_SWEEP_MODE=cold: every request rebuilds its solver state");
     }

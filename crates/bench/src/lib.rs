@@ -260,25 +260,6 @@ pub fn ablate() -> bool {
     std::env::args().any(|a| a == "--ablate")
 }
 
-/// Whether `RFSIM_SWEEP_MODE=cold` is in force: sweep phases then solve
-/// every point from scratch (no warm starts, no subspace recycling, no
-/// reused factorizations) so CI can record the baseline the warm path is
-/// gated against. Anything else — including unset — selects the warm
-/// continuation path.
-pub fn sweep_cold() -> bool {
-    std::env::var("RFSIM_SWEEP_MODE").map(|v| v.eq_ignore_ascii_case("cold")).unwrap_or(false)
-}
-
-/// Whether `RFSIM_SWEEP_MODE=adaptive` is in force: drive sweeps
-/// through the rational-surrogate layer (`AdaptiveSweep`), issuing true
-/// solves only where the cross-validated model is uncertain and
-/// answering the remaining grid points from the fit. CI gates this mode
-/// against the warm fixed-grid leg on both wall clock and the
-/// `em.true_solves` counter ratio.
-pub fn sweep_adaptive() -> bool {
-    std::env::var("RFSIM_SWEEP_MODE").map(|v| v.eq_ignore_ascii_case("adaptive")).unwrap_or(false)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -20,7 +20,7 @@
 //!   post-processing, and Padé-accelerated noise evaluation ([`rom`]).
 //!
 //! Everything sits on a self-contained numerics layer ([`numerics`]):
-//! dense/sparse linear algebra, SVD/eigen solvers, GMRES/BiCGStab, FFTs.
+//! dense/sparse linear algebra, SVD/eigen solvers, GMRES, FFTs.
 //!
 //! # Quickstart
 //!

@@ -10,7 +10,7 @@ use crate::kernel::GreenFn;
 use crate::mom::{capacitance_matrix, MomProblem};
 use crate::{Result, EPS0, MU0};
 use rfsim_numerics::krylov::{
-    gmres_recycled, GmresWorkspace, JacobiPrecond, KrylovOptions, LinearOperator, RecycleSpace,
+    gmres_with, GmresWorkspace, JacobiPrecond, KrylovOptions, LinearOperator, RecycleSpace,
 };
 use rfsim_numerics::Complex;
 use rfsim_telemetry as telemetry;
@@ -379,14 +379,14 @@ impl SweptExtractor {
         // The operator moved with k: restore C = A·U before deflating.
         self.recycle.refresh(&op);
         let v = vec![1.0; self.a_free.len()]; // single conductor at 1 V
-        let (q, _) = gmres_recycled(
+        let (q, _) = gmres_with(
             &op,
             &v,
             self.prev_q.as_deref(),
             &pc,
             &self.kopts,
             &mut self.gws,
-            &mut self.recycle,
+            Some(&mut self.recycle),
         )?;
         let c_total: f64 = q.iter().sum();
         self.prev_q = Some(q);

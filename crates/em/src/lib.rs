@@ -22,8 +22,7 @@
 //! giving near-linear storage and matvec, solved with Krylov iteration.
 //!
 //! [`inductor`] builds quasi-static spiral-inductor models on a lossy
-//! substrate (Fig 7), [`sparams`] converts extracted impedances to
-//! S-parameters, and [`adaptive`] drives frequency sweeps through a
+//! substrate (Fig 7), and [`adaptive`] drives frequency sweeps through a
 //! rational surrogate so true solves are only issued where the model is
 //! uncertain.
 
@@ -34,7 +33,6 @@ pub mod ies3;
 pub mod inductor;
 pub mod kernel;
 pub mod mom;
-pub mod sparams;
 
 pub use adaptive::AdaptiveSweep;
 pub use geom::{Panel, Point3};

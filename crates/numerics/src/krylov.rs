@@ -1,5 +1,5 @@
-//! Krylov-subspace iterative solvers: restarted GMRES and BiCGStab, generic
-//! over real/complex scalars, with pluggable preconditioning.
+//! Krylov-subspace iterative solvers: restarted GMRES and block GMRES,
+//! generic over real/complex scalars, with pluggable preconditioning.
 //!
 //! These are the "iterative linear algebra techniques" (\[12\] in the paper)
 //! that let harmonic balance "handle integrated designs containing many more
@@ -228,53 +228,6 @@ impl<T: Scalar> Preconditioner<T> for Ilu0<T> {
     }
 }
 
-/// Block-diagonal preconditioner built from dense blocks (pre-factored).
-///
-/// This is the classic HB preconditioner: one block per harmonic, each the
-/// circuit-sized linearization at that frequency.
-pub struct BlockDiagPrecond<T> {
-    blocks: Vec<crate::dense::Lu<T>>,
-    offsets: Vec<usize>,
-}
-
-impl<T: Scalar> BlockDiagPrecond<T> {
-    /// Factors the given dense blocks. Blocks are applied contiguously in
-    /// order.
-    ///
-    /// # Errors
-    /// Propagates [`Error::Singular`] from a block factorization.
-    pub fn new(blocks: &[crate::dense::Mat<T>]) -> Result<Self> {
-        let mut lus = Vec::with_capacity(blocks.len());
-        let mut offsets = Vec::with_capacity(blocks.len() + 1);
-        let mut off = 0;
-        for b in blocks {
-            offsets.push(off);
-            off += b.rows();
-            lus.push(b.lu()?);
-        }
-        offsets.push(off);
-        Ok(BlockDiagPrecond { blocks: lus, offsets })
-    }
-
-    /// Total dimension covered by the blocks.
-    pub fn dim(&self) -> usize {
-        *self.offsets.last().unwrap_or(&0)
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for BlockDiagPrecond<T> {
-    fn apply(&self, r: &[T], z: &mut [T]) -> Result<()> {
-        for (k, lu) in self.blocks.iter().enumerate() {
-            let lo = self.offsets[k];
-            let hi = self.offsets[k + 1];
-            // Batched allocation-free triangular solves straight into the
-            // output window; identical arithmetic to `Lu::solve`.
-            lu.solve_into(&r[lo..hi], &mut z[lo..hi])?;
-        }
-        Ok(())
-    }
-}
-
 /// Convergence/diagnostic report from an iterative solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterStats {
@@ -378,7 +331,7 @@ pub fn gmres<T: Scalar>(
     precond: &dyn Preconditioner<T>,
     opts: &KrylovOptions,
 ) -> Result<(Vec<T>, IterStats)> {
-    gmres_with(a, b, x0, precond, opts, &mut GmresWorkspace::new())
+    gmres_with(a, b, x0, precond, opts, &mut GmresWorkspace::new(), None)
 }
 
 /// [`gmres`] against a caller-owned [`GmresWorkspace`]: identical
@@ -386,10 +339,60 @@ pub fn gmres<T: Scalar>(
 /// buffers are reused across calls instead of reallocated. Only the
 /// returned solution vector is allocated once the workspace is warm.
 ///
+/// With `recycle`, the solve is wrapped in subspace recycling: the
+/// residual is first deflated through the space (a warm start in the span
+/// of previous solves), GMRES then finishes from the improved iterate
+/// under the **same** convergence test as a cold solve, and the converged
+/// solution direction is harvested back into the space. Counters
+/// `krylov.warm_starts` and `krylov.recycle_dim` record how much the
+/// sweep reused. The caller is responsible for [`RecycleSpace::refresh`]
+/// when the operator changed since the space was last used; the
+/// projection is only optimal while `C = A·U` holds.
+///
 /// # Errors
 /// Returns [`Error::NoConvergence`] if the iteration budget is exhausted
 /// before the tolerance is met.
 pub fn gmres_with<T: Scalar>(
+    a: &dyn LinearOperator<T>,
+    b: &[T],
+    x0: Option<&[T]>,
+    precond: &dyn Preconditioner<T>,
+    opts: &KrylovOptions,
+    ws: &mut GmresWorkspace<T>,
+    recycle: Option<&mut RecycleSpace<T>>,
+) -> Result<(Vec<T>, IterStats)> {
+    let Some(recycle) = recycle else {
+        return gmres_cycles(a, b, x0, precond, opts, ws);
+    };
+    let n = a.dim();
+    if b.len() != n {
+        return Err(Error::DimensionMismatch { expected: n, found: b.len() });
+    }
+    let mut x = x0.map_or_else(|| vec![T::ZERO; n], <[T]>::to_vec);
+    let mut extra_matvecs = 0usize;
+    if recycle.dim() > 0 {
+        let mut r = vec![T::ZERO; n];
+        a.apply(&x, &mut r);
+        extra_matvecs += 1;
+        for (ri, bi) in r.iter_mut().zip(b) {
+            *ri = *bi - *ri;
+        }
+        let used = recycle.project(&mut x, &mut r);
+        if used > 0 {
+            telemetry::counter_add("krylov.warm_starts", 1);
+            telemetry::counter_add("krylov.recycle_dim", used as u64);
+        }
+    }
+    let (x, mut stats) = gmres_cycles(a, b, Some(&x), precond, opts, ws)?;
+    stats.matvecs += extra_matvecs + 1; // +1 for the harvest below
+    recycle.harvest(a, &x);
+    Ok((x, stats))
+}
+
+/// The restarted GMRES(m) cycles behind [`gmres_with`], timed as the
+/// `krylov.gmres` span (a recycled solve's projection and harvest stay
+/// outside it).
+fn gmres_cycles<T: Scalar>(
     a: &dyn LinearOperator<T>,
     b: &[T],
     x0: Option<&[T]>,
@@ -411,7 +414,7 @@ pub fn gmres_with<T: Scalar>(
     let mut matvecs = 0usize;
     let mut total_iters = 0usize;
 
-    // Preconditioned RHS norm for the relative criterion.
+    // Preconditioned RHS norm for the relative stopping test.
     reset_avec(&mut ws.zb, n);
     precond.apply(b, &mut ws.zb)?;
     let bnorm = gnorm2(&ws.zb).max(1e-300);
@@ -675,55 +678,6 @@ impl<T: Scalar> RecycleSpace<T> {
     }
 }
 
-/// [`gmres_with`] wrapped in subspace recycling: the residual is first
-/// deflated through `recycle` (a warm start in the span of previous
-/// solves), GMRES then finishes from the improved iterate under the
-/// **same** convergence criterion as a cold solve, and the converged
-/// solution direction is harvested back into the space. Counters
-/// `krylov.warm_starts` and `krylov.recycle_dim` record how much the
-/// sweep reused.
-///
-/// The caller is responsible for [`RecycleSpace::refresh`] when the
-/// operator changed since the space was last used; the projection is
-/// only optimal while `C = A·U` holds.
-///
-/// # Errors
-/// Returns [`Error::NoConvergence`] if the iteration budget is exhausted
-/// before the tolerance is met.
-pub fn gmres_recycled<T: Scalar>(
-    a: &dyn LinearOperator<T>,
-    b: &[T],
-    x0: Option<&[T]>,
-    precond: &dyn Preconditioner<T>,
-    opts: &KrylovOptions,
-    ws: &mut GmresWorkspace<T>,
-    recycle: &mut RecycleSpace<T>,
-) -> Result<(Vec<T>, IterStats)> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(Error::DimensionMismatch { expected: n, found: b.len() });
-    }
-    let mut x = x0.map_or_else(|| vec![T::ZERO; n], <[T]>::to_vec);
-    let mut extra_matvecs = 0usize;
-    if recycle.dim() > 0 {
-        let mut r = vec![T::ZERO; n];
-        a.apply(&x, &mut r);
-        extra_matvecs += 1;
-        for (ri, bi) in r.iter_mut().zip(b) {
-            *ri = *bi - *ri;
-        }
-        let used = recycle.project(&mut x, &mut r);
-        if used > 0 {
-            telemetry::counter_add("krylov.warm_starts", 1);
-            telemetry::counter_add("krylov.recycle_dim", used as u64);
-        }
-    }
-    let (x, mut stats) = gmres_with(a, b, Some(&x), precond, opts, ws)?;
-    stats.matvecs += extra_matvecs + 1; // +1 for the harvest below
-    recycle.harvest(a, &x);
-    Ok((x, stats))
-}
-
 /// One Givens rotation of the band-Hessenberg least squares inside
 /// [`block_gmres`], acting on the row pair `(row, row + 1)`.
 struct BlockRotation<T> {
@@ -813,7 +767,7 @@ pub fn block_gmres<T: Scalar>(
     let mut monitor = telemetry::ResidualMonitor::new("krylov.block_gmres");
     let mut tail = ResidualTail::new();
     let mut xs: Vec<Vec<T>> = x0.map_or_else(|| vec![vec![T::ZERO; n]; p], <[Vec<T>]>::to_vec);
-    // Preconditioned RHS norms for the per-RHS relative criterion.
+    // Preconditioned RHS norms for the per-RHS relative stopping test.
     let mut zb = vec![T::ZERO; n];
     let mut bnorms = Vec::with_capacity(p);
     for b in bs {
@@ -978,106 +932,6 @@ fn note_block_gmres(trace: telemetry::TraceBuf, stats: &IterStats, rhs: usize, c
     telemetry::histogram_record("krylov.block_gmres.iterations_per_solve", stats.iterations as f64);
 }
 
-/// BiCGStab with left preconditioning.
-///
-/// # Errors
-/// Returns [`Error::NoConvergence`] on budget exhaustion and
-/// [`Error::Breakdown`] on ρ-breakdown.
-pub fn bicgstab<T: Scalar>(
-    a: &dyn LinearOperator<T>,
-    b: &[T],
-    x0: Option<&[T]>,
-    precond: &dyn Preconditioner<T>,
-    opts: &KrylovOptions,
-) -> Result<(Vec<T>, IterStats)> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(Error::DimensionMismatch { expected: n, found: b.len() });
-    }
-    let _span = telemetry::span("krylov.bicgstab");
-    crate::kernels::note_dispatch(1);
-    let mut trace = telemetry::TraceBuf::new("krylov.bicgstab");
-    let mut monitor = telemetry::ResidualMonitor::new("krylov.bicgstab");
-    let mut tail = ResidualTail::new();
-    let mut x = x0.map_or_else(|| vec![T::ZERO; n], <[T]>::to_vec);
-    let mut work = vec![T::ZERO; n];
-    a.apply(&x, &mut work);
-    let mut matvecs = 1usize;
-    let mut r: Vec<T> = b.iter().zip(&work).map(|(bi, wi)| *bi - *wi).collect();
-    let rhat = r.clone();
-    let bnorm = gnorm2(b).max(1e-300);
-    let mut rho = T::ONE;
-    let mut alpha = T::ONE;
-    let mut omega = T::ONE;
-    let mut vv = vec![T::ZERO; n];
-    let mut p = vec![T::ZERO; n];
-    let mut resid = gnorm2(&r) / bnorm;
-    for it in 0..opts.max_iters {
-        if resid <= opts.tol {
-            let stats = IterStats { iterations: it, residual: resid, matvecs };
-            note_bicgstab(trace, &stats, true);
-            return Ok((x, stats));
-        }
-        let rho_new = gdot(&rhat, &r);
-        if rho_new.modulus() < 1e-300 {
-            return Err(Error::Breakdown("bicgstab: rho = 0"));
-        }
-        let beta = (rho_new / rho) * (alpha / omega);
-        rho = rho_new;
-        for i in 0..n {
-            p[i] = r[i] + beta * (p[i] - omega * vv[i]);
-        }
-        let mut phat = vec![T::ZERO; n];
-        precond.apply(&p, &mut phat)?;
-        a.apply(&phat, &mut vv);
-        matvecs += 1;
-        alpha = rho / gdot(&rhat, &vv);
-        let s: Vec<T> = r.iter().zip(&vv).map(|(ri, vi)| *ri - alpha * *vi).collect();
-        if gnorm2(&s) / bnorm <= opts.tol {
-            for i in 0..n {
-                x[i] += alpha * phat[i];
-            }
-            let stats = IterStats { iterations: it + 1, residual: gnorm2(&s) / bnorm, matvecs };
-            note_bicgstab(trace, &stats, true);
-            return Ok((x, stats));
-        }
-        let mut shat = vec![T::ZERO; n];
-        precond.apply(&s, &mut shat)?;
-        let mut t = vec![T::ZERO; n];
-        a.apply(&shat, &mut t);
-        matvecs += 1;
-        let tt = gdot(&t, &t);
-        if tt.modulus() < 1e-300 {
-            return Err(Error::Breakdown("bicgstab: t = 0"));
-        }
-        omega = gdot(&t, &s) / tt;
-        for i in 0..n {
-            x[i] += alpha * phat[i] + omega * shat[i];
-            r[i] = s[i] - omega * t[i];
-        }
-        resid = gnorm2(&r) / bnorm;
-        trace.push(resid);
-        monitor.observe(resid);
-        tail.push(resid);
-    }
-    let stats = IterStats { iterations: opts.max_iters, residual: resid, matvecs };
-    note_bicgstab(trace, &stats, false);
-    Err(Error::NoConvergence {
-        iterations: opts.max_iters,
-        residual: resid,
-        residual_tail: tail.to_vec(),
-    })
-}
-
-/// Emits the iteration statistics of one BiCGStab solve into telemetry.
-fn note_bicgstab(trace: telemetry::TraceBuf, stats: &IterStats, converged: bool) {
-    trace.commit(converged);
-    telemetry::counter_add("krylov.bicgstab.solves", 1);
-    telemetry::counter_add("krylov.bicgstab.iterations", stats.iterations as u64);
-    telemetry::counter_add("krylov.bicgstab.matvecs", stats.matvecs as u64);
-    telemetry::histogram_record("krylov.bicgstab.iterations_per_solve", stats.iterations as f64);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1191,48 +1045,6 @@ mod tests {
     }
 
     #[test]
-    fn bicgstab_solves_sparse() {
-        let n = 80;
-        let mut t = Triplets::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 4.0);
-            if i > 0 {
-                t.push(i, i - 1, -1.0);
-            }
-            if i + 1 < n {
-                t.push(i, i + 1, -1.2);
-            }
-        }
-        let a = t.to_csr();
-        let xref: Vec<f64> = (0..n).map(|i| ((i * i) % 7) as f64 - 3.0).collect();
-        let b = a.matvec(&xref);
-        let (x, stats) =
-            bicgstab(&a, &b, None, &IdentityPrecond, &KrylovOptions::default()).unwrap();
-        assert!(stats.residual <= 1e-10);
-        for (xi, ri) in x.iter().zip(&xref) {
-            assert!((xi - ri).abs() < 1e-7);
-        }
-    }
-
-    #[test]
-    fn block_diag_precond_is_exact_for_block_diag_matrix() {
-        let b1 = Mat::from_rows(&[&[2.0, 1.0], &[1.0, 3.0]]);
-        let b2 = Mat::from_rows(&[&[5.0]]);
-        let pc = BlockDiagPrecond::new(&[b1.clone(), b2.clone()]).unwrap();
-        assert_eq!(pc.dim(), 3);
-        // Full matrix equal to the block diagonal: GMRES should converge in
-        // one iteration with the exact preconditioner.
-        let a = Mat::from_rows(&[&[2.0, 1.0, 0.0], &[1.0, 3.0, 0.0], &[0.0, 0.0, 5.0]]);
-        let b = [1.0, 2.0, 3.0];
-        let (x, stats) = gmres(&a, &b, None, &pc, &KrylovOptions::default()).unwrap();
-        assert!(stats.iterations <= 2, "iterations = {}", stats.iterations);
-        let ax = a.matvec(&x);
-        for (l, r) in ax.iter().zip(&b) {
-            assert!((l - r).abs() < 1e-9);
-        }
-    }
-
-    #[test]
     fn ilu0_exact_for_no_fill_patterns() {
         // A tridiagonal matrix factors with no fill, so ILU(0) is the
         // exact LU and GMRES converges in one iteration.
@@ -1323,10 +1135,6 @@ mod tests {
         let (a, b, _) = spd_system(12);
         assert!(matches!(
             gmres(&a, &b, None, &FailingPrecond, &KrylovOptions::default()),
-            Err(Error::Singular(7))
-        ));
-        assert!(matches!(
-            bicgstab(&a, &b, None, &FailingPrecond, &KrylovOptions::default()),
             Err(Error::Singular(7))
         ));
     }
@@ -1455,13 +1263,14 @@ mod tests {
         let mut ws = GmresWorkspace::new();
         let mut rec = RecycleSpace::new(8);
         let (_, cold) =
-            gmres_recycled(&a, &b, None, &IdentityPrecond, &opts, &mut ws, &mut rec).unwrap();
+            gmres_with(&a, &b, None, &IdentityPrecond, &opts, &mut ws, Some(&mut rec)).unwrap();
         let mut warm_iters = 0;
         for k in 1..4 {
             let bk: Vec<f64> =
                 b.iter().enumerate().map(|(i, v)| v + 0.001 * ((i + k) as f64).sin()).collect();
             let (x, s) =
-                gmres_recycled(&a, &bk, None, &IdentityPrecond, &opts, &mut ws, &mut rec).unwrap();
+                gmres_with(&a, &bk, None, &IdentityPrecond, &opts, &mut ws, Some(&mut rec))
+                    .unwrap();
             warm_iters = s.iterations;
             let ax = a.matvec(&x);
             for (l, r) in ax.iter().zip(&bk) {
@@ -1480,9 +1289,9 @@ mod tests {
         let mut rec = RecycleSpace::new(6);
         // Prime the space on a related system, then solve the target.
         let b0: Vec<f64> = b.iter().map(|v| 0.9 * v + 0.05).collect();
-        gmres_recycled(&a, &b0, None, &IdentityPrecond, &opts, &mut ws, &mut rec).unwrap();
+        gmres_with(&a, &b0, None, &IdentityPrecond, &opts, &mut ws, Some(&mut rec)).unwrap();
         let (warm, _) =
-            gmres_recycled(&a, &b, None, &IdentityPrecond, &opts, &mut ws, &mut rec).unwrap();
+            gmres_with(&a, &b, None, &IdentityPrecond, &opts, &mut ws, Some(&mut rec)).unwrap();
         for (wi, ri) in warm.iter().zip(&xref) {
             assert!((wi - ri).abs() < 1e-7, "{wi} vs {ri}");
         }
@@ -1503,12 +1312,12 @@ mod tests {
         let opts = KrylovOptions::default();
         let mut ws = GmresWorkspace::new();
         let mut rec = RecycleSpace::new(6);
-        gmres_recycled(&a, &b, None, &IdentityPrecond, &opts, &mut ws, &mut rec).unwrap();
+        gmres_with(&a, &b, None, &IdentityPrecond, &opts, &mut ws, Some(&mut rec)).unwrap();
         rec.refresh(&a2);
         // The invariant C = A₂·U must hold again: projection may not hurt
         // the solution on the new operator.
         let (x, _) =
-            gmres_recycled(&a2, &b, None, &IdentityPrecond, &opts, &mut ws, &mut rec).unwrap();
+            gmres_with(&a2, &b, None, &IdentityPrecond, &opts, &mut ws, Some(&mut rec)).unwrap();
         let ax = a2.matvec(&x);
         for (l, r) in ax.iter().zip(&b) {
             assert!((l - r).abs() < 1e-7);

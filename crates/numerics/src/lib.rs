@@ -15,10 +15,10 @@
 //!   decompositions ([`dense`], [`svd`], [`eig`]),
 //! - sparse matrices (triplet/CSR) with a Gilbert–Peierls sparse LU
 //!   ([`sparse`]),
-//! - Krylov-subspace iterative solvers (GMRES, BiCGStab) with pluggable
+//! - Krylov-subspace iterative solvers (GMRES, block GMRES) with pluggable
 //!   preconditioners ([`krylov`]),
 //! - FFT/DFT (radix-2 + Bluestein) and spectrum utilities ([`fft`]),
-//! - interpolation and quadrature helpers ([`interp`], [`quad`]).
+//! - interpolation helpers ([`interp`]).
 //!
 //! # Example
 //!
@@ -41,7 +41,6 @@ pub mod fft;
 pub mod interp;
 pub mod kernels;
 pub mod krylov;
-pub mod quad;
 pub mod scalar;
 pub mod sparse;
 pub mod svd;

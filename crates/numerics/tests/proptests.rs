@@ -247,20 +247,25 @@ proptest! {
 
     // A warm workspace must not leak state between solves: the second
     // solve with a reused workspace is bitwise the cold-start solution.
+    // So is a solve through an empty, disabled recycle space.
     #[test]
     fn gmres_workspace_reuse_is_bitwise(
         m in dd_matrix(10),
         b1 in proptest::collection::vec(-5.0f64..5.0, 10),
         b2 in proptest::collection::vec(-5.0f64..5.0, 10),
     ) {
-        use rfsim_numerics::krylov::{gmres_with, GmresWorkspace};
+        use rfsim_numerics::krylov::{gmres_with, GmresWorkspace, RecycleSpace};
         let opts = KrylovOptions::default();
         let mut ws = GmresWorkspace::new();
-        gmres_with(&m, &b1, None, &IdentityPrecond, &opts, &mut ws).unwrap();
-        let (warm, _) = gmres_with(&m, &b2, None, &IdentityPrecond, &opts, &mut ws).unwrap();
+        gmres_with(&m, &b1, None, &IdentityPrecond, &opts, &mut ws, None).unwrap();
+        let (warm, _) = gmres_with(&m, &b2, None, &IdentityPrecond, &opts, &mut ws, None).unwrap();
         let (cold, _) = gmres(&m, &b2, None, &IdentityPrecond, &opts).unwrap();
-        for (a, c) in warm.iter().zip(&cold) {
+        let mut rec = RecycleSpace::new(0);
+        let (recycled, _) =
+            gmres_with(&m, &b2, None, &IdentityPrecond, &opts, &mut ws, Some(&mut rec)).unwrap();
+        for ((a, r), c) in warm.iter().zip(&recycled).zip(&cold) {
             prop_assert_eq!(a.to_bits(), c.to_bits());
+            prop_assert_eq!(r.to_bits(), c.to_bits());
         }
     }
 }

@@ -15,6 +15,51 @@ use std::time::Instant;
 /// i.e. the repo root under `cargo run`).
 pub const BENCH_DIR_VAR: &str = "RFSIM_BENCH_DIR";
 
+const SWEEP_MODE_VAR: &str = "RFSIM_SWEEP_MODE";
+
+/// How sweep phases solve their points, selected by `RFSIM_SWEEP_MODE`.
+/// The experiment bins and `rfsim-serve` both read it through
+/// [`SweepMode::from_env`], so they agree on its grammar.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum SweepMode {
+    /// Warm continuation: each point reuses the previous point's
+    /// solution, factorizations and recycled Krylov space (the default).
+    #[default]
+    Warm,
+    /// Every point from scratch, with no reuse: the baseline CI gates the
+    /// warm path against.
+    Cold,
+    /// Surrogate-driven: true solves only where the fitted rational model
+    /// is uncertain, the remaining points read from the fit.
+    Adaptive,
+}
+
+impl SweepMode {
+    /// Parses an `RFSIM_SWEEP_MODE` value, ignoring ASCII case; empty
+    /// means warm. Returns `None` for unrecognized input.
+    pub fn parse(value: &str) -> Option<SweepMode> {
+        match value.to_ascii_lowercase().as_str() {
+            "" | "warm" => Some(SweepMode::Warm),
+            "cold" => Some(SweepMode::Cold),
+            "adaptive" => Some(SweepMode::Adaptive),
+            _ => None,
+        }
+    }
+
+    /// The mode `RFSIM_SWEEP_MODE` selects: warm when unset, and warm
+    /// with a warning on stderr when the value is unrecognized.
+    pub fn from_env() -> SweepMode {
+        let Ok(value) = std::env::var(SWEEP_MODE_VAR) else { return SweepMode::default() };
+        SweepMode::parse(&value).unwrap_or_else(|| {
+            eprintln!(
+                "rfsim-observe: ignoring unrecognized {SWEEP_MODE_VAR}={value:?} \
+                 (expected warm | cold | adaptive)"
+            );
+            SweepMode::default()
+        })
+    }
+}
+
 /// Metric recorder handed to a sweep-point closure.
 #[derive(Debug, Default)]
 pub struct PointMetrics {
@@ -168,5 +213,22 @@ impl Harness {
         } else {
             ExitCode::SUCCESS
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn sweep_mode_grammar() {
+        // Unset selects the default; the empty value parses to the same.
+        assert_eq!(SweepMode::default(), SweepMode::Warm);
+        assert_eq!(SweepMode::parse(""), Some(SweepMode::Warm));
+        assert_eq!(SweepMode::parse("Warm"), Some(SweepMode::Warm));
+        assert_eq!(SweepMode::parse("COLD"), Some(SweepMode::Cold));
+        assert_eq!(SweepMode::parse("cOlD"), Some(SweepMode::Cold));
+        assert_eq!(SweepMode::parse("Adaptive"), Some(SweepMode::Adaptive));
+        assert_eq!(SweepMode::parse("bogus"), None);
     }
 }

@@ -40,7 +40,7 @@ pub mod harness;
 pub mod report;
 
 pub use artifact::{git_sha, BenchArtifact, Phase, SweepPoint, SCHEMA_VERSION};
-pub use harness::{Harness, PointMetrics, BENCH_DIR_VAR};
+pub use harness::{Harness, PointMetrics, SweepMode, BENCH_DIR_VAR};
 pub use report::{
     compare, compare_sets, load_set, Comparison, CountRatioGate, MetricDelta, SpeedupGate,
     Thresholds,

@@ -19,12 +19,6 @@ use rfsim_telemetry::Json;
 use std::collections::BTreeMap;
 use std::time::Instant;
 
-/// Environment variable that, when set to `cold`, bypasses the warm
-/// caches — every job rebuilds from scratch. The e13 bench uses it for
-/// the cold leg of the warm-vs-cold comparison, mirroring the
-/// `RFSIM_SWEEP_MODE` convention of the sweep benches.
-pub const COLD_ENV: &str = "RFSIM_SWEEP_MODE";
-
 struct HbEntry {
     sweep: HbSweep,
 }
@@ -72,7 +66,9 @@ pub struct Engine {
 
 impl Engine {
     /// An engine whose two caches share `cache_budget_bytes` evenly.
-    /// `cold` disables both caches (see [`COLD_ENV`]).
+    /// `cold` disables both caches: every job rebuilds from scratch, the
+    /// cold leg of e13's warm-vs-cold comparison
+    /// ([`rfsim_observe::SweepMode::Cold`]).
     pub fn new(cache_budget_bytes: usize, cold: bool) -> Self {
         let half = (cache_budget_bytes / 2).max(1);
         Engine {

@@ -42,7 +42,7 @@ pub mod wire;
 
 pub use cache::{CacheStats, CacheWeight, WarmCache};
 pub use client::{Client, ClientError};
-pub use engine::{Engine, JobOutcome, CIRCUITS, COLD_ENV};
+pub use engine::{Engine, JobOutcome, CIRCUITS};
 pub use observability::{AccessLog, FlightRecorder, RequestRecord};
 pub use protocol::{
     error_response, ok_response, parse_request, Envelope, ErrorKind, ExtractJob, HbJob, Request,

@@ -4,19 +4,25 @@
 //! are answered in order; clients wanting concurrency open more
 //! connections (the load generator does exactly that).
 
-use crate::engine::{Engine, JobOutcome, COLD_ENV};
+use crate::engine::{Engine, JobOutcome};
 use crate::observability::{unix_ms_now, AccessLog, FlightRecorder, RequestRecord};
 use crate::protocol::{error_response, ok_response, parse_request, Envelope, ErrorKind, Request};
 use crate::scheduler::{Reject, Scheduler, SchedulerStats};
 use crate::wire::{read_frame, write_frame, FrameError, MAX_JSON_DEPTH};
+use rfsim_observe::SweepMode;
 use rfsim_telemetry::{self as telemetry, Json};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long teardown waits, once the job queue has drained, for replies
+/// still being written. The bound keeps a client that goes on sending
+/// frames during teardown from holding the server open.
+const REPLY_DRAIN_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Tunables of a [`Server`].
 #[derive(Debug, Clone)]
@@ -70,6 +76,10 @@ struct Shared {
     /// Set the moment an `op:"shutdown"` request parses — strictly
     /// before its reply is written, unlike `stop` (see `handle_conn`).
     shutdown_seen: AtomicBool,
+    /// Frames in hand: counted from `read_frame` returning a frame until
+    /// `write_frame` returns its reply, so teardown can wait for drained
+    /// jobs' replies to reach the wire before it closes the sockets.
+    frames_in_flight: AtomicUsize,
 }
 
 /// A running service instance. Spawn with [`Server::spawn`], stop with
@@ -91,7 +101,7 @@ impl Server {
         if telemetry::mode() == telemetry::Mode::Off {
             telemetry::set_mode(telemetry::Mode::Report);
         }
-        let cold = std::env::var(COLD_ENV).is_ok_and(|v| v == "cold");
+        let cold = SweepMode::from_env() == SweepMode::Cold;
         let workers =
             if config.workers == 0 { rfsim_parallel::thread_count() } else { config.workers };
         let access = config.access_log.as_deref().map(AccessLog::open).transpose()?;
@@ -110,6 +120,7 @@ impl Server {
             req_seq: AtomicU64::new(0),
             stopping: AtomicBool::new(false),
             shutdown_seen: AtomicBool::new(false),
+            frames_in_flight: AtomicUsize::new(0),
         });
         let accept_shared = Arc::clone(&shared);
         let accept = std::thread::Builder::new()
@@ -167,8 +178,14 @@ impl Server {
             let _ = h.join();
         }
         // Drain: everything admitted runs to completion and its
-        // connection thread gets to write the response.
+        // connection thread gets to write the response. A job is done
+        // when its closure returns, before the reply is written, so also
+        // wait (bounded) until no frame is left unanswered.
         self.shared.scheduler.shutdown();
+        let deadline = Instant::now() + REPLY_DRAIN_TIMEOUT;
+        while self.shared.frames_in_flight.load(Ordering::SeqCst) > 0 && Instant::now() < deadline {
+            std::thread::sleep(Duration::from_millis(1));
+        }
         // Now unblock connection threads parked in read_frame.
         for s in lock(&self.shared.conns).drain(..) {
             let _ = s.shutdown(std::net::Shutdown::Both);
@@ -206,9 +223,12 @@ fn handle_conn(mut stream: TcpStream, shared: &Arc<Shared>) {
         match read_frame(&mut stream) {
             Ok(None) => break, // clean EOF
             Ok(Some(payload)) => {
+                shared.frames_in_flight.fetch_add(1, Ordering::SeqCst);
                 telemetry::counter_add("serve.requests", 1);
                 let (reply, close) = process_frame(shared, &payload);
-                if write_frame(&mut stream, reply.to_string_compact().as_bytes()).is_err() {
+                let written = write_frame(&mut stream, reply.to_string_compact().as_bytes());
+                shared.frames_in_flight.fetch_sub(1, Ordering::SeqCst);
+                if written.is_err() {
                     break;
                 }
                 if close {

@@ -22,8 +22,8 @@ use rfsim_circuit::dc::{dc_operating_point, DcOptions};
 use rfsim_numerics::dense::{LuSingle, Mat};
 use rfsim_numerics::fft::{self, FftPlan, FftScratch};
 use rfsim_numerics::krylov::{
-    gmres_recycled, gmres_with, FnOperator, GmresWorkspace, IdentityPrecond, KrylovOptions,
-    Preconditioner, RecycleSpace,
+    gmres_with, FnOperator, GmresWorkspace, IdentityPrecond, KrylovOptions, Preconditioner,
+    RecycleSpace,
 };
 use rfsim_numerics::sparse::{Csr, Triplets};
 use rfsim_numerics::{norm_inf, AlignedVec, Complex, ResidualTail};
@@ -586,12 +586,7 @@ impl Preconditioner<f64> for HarmonicBlockPrecond {
 /// [`PrecondRefresh::Adaptive`] across point boundaries — a factor is
 /// kept until the growth test or a rescue re-factor says otherwise, no
 /// matter which continuation level or sweep point produced it.
-///
-/// The type is public so long-running callers (the `rfsim-serve` daemon,
-/// warm-cache tests) can own the carried state across solves through
-/// [`solve_hb_carried`] and query how warm it is, without reaching into
-/// this module's internals.
-pub struct NewtonCarry {
+pub(crate) struct NewtonCarry {
     precond: Option<HarmonicBlockPrecond>,
     /// Inner-iteration count right after the last factorization.
     base_inner: Option<usize>,
@@ -601,31 +596,21 @@ pub struct NewtonCarry {
 impl NewtonCarry {
     /// A cold carry whose recycle space keeps up to `recycle_dim`
     /// deflation directions (0 disables recycling).
-    pub fn new(recycle_dim: usize) -> Self {
+    fn new(recycle_dim: usize) -> Self {
         NewtonCarry { precond: None, base_inner: None, recycle: RecycleSpace::new(recycle_dim) }
     }
 
     /// Drops everything carried — the next correction starts cold.
-    pub fn reset(&mut self) {
+    fn reset(&mut self) {
         self.precond = None;
         self.base_inner = None;
         self.recycle.clear();
     }
 
-    /// Whether a factored harmonic block preconditioner is being carried.
-    pub fn has_preconditioner(&self) -> bool {
-        self.precond.is_some()
-    }
-
-    /// Current number of recycled Krylov directions.
-    pub fn recycle_dim(&self) -> usize {
-        self.recycle.dim()
-    }
-
     /// Approximate resident bytes of the carried state (preconditioner
     /// factors; the recycle space's share is counted by its owner, which
     /// knows the operator dimension).
-    pub fn bytes(&self) -> usize {
+    fn bytes(&self) -> usize {
         self.precond.as_ref().map_or(0, HarmonicBlockPrecond::bytes)
     }
 }
@@ -641,37 +626,6 @@ pub fn solve_hb(dae: &dyn Dae, grid: &SpectralGrid, opts: &HbOptions) -> Result<
     let mut gws = GmresWorkspace::new();
     let mut carry = NewtonCarry::new(0);
     solve_hb_with(dae, grid, opts, None, &ws, &mut gws, &mut carry)
-}
-
-/// [`solve_hb`] with a caller-owned [`NewtonCarry`]: the factored block
-/// preconditioner and recycle space persist in `carry` across calls, so
-/// a long-running caller (the `rfsim-serve` daemon, warm-cache tests)
-/// can pay the factorization once and reuse it for related solves. With
-/// `warm_x` (a previous solution on the same grid and DAE dimension) the
-/// solve also skips source stepping and starts Newton there; results
-/// converge to the same `opts.tol` as a cold solve either way.
-///
-/// # Errors
-/// [`Error::NoConvergence`] if Newton stalls, plus propagated numerical
-/// errors — a carried preconditioner that no longer matches the operator
-/// is re-factored and retried once automatically before failing.
-///
-/// # Panics
-/// Panics if `warm_x` has a length other than `grid.samples() * dae.dim()`.
-pub fn solve_hb_carried(
-    dae: &dyn Dae,
-    grid: &SpectralGrid,
-    opts: &HbOptions,
-    warm_x: Option<&[f64]>,
-    carry: &mut NewtonCarry,
-) -> Result<HbSolution> {
-    let n = dae.dim();
-    if let Some(xs) = warm_x {
-        assert_eq!(xs.len(), grid.samples() * n, "solve_hb_carried: warm_x length mismatch");
-    }
-    let ws = RefCell::new(HbWorkspace::new(grid, n));
-    let mut gws = GmresWorkspace::new();
-    solve_hb_with(dae, grid, opts, warm_x, &ws, &mut gws, carry)
 }
 
 /// The full HB solve with caller-owned hot-path state: workspace, GMRES
@@ -843,26 +797,15 @@ fn newton_hb(
                     stats.solver_bytes = stats
                         .solver_bytes
                         .max(carry.precond.as_ref().expect("factored above").bytes() + basis);
-                    let first_try = if recycling {
-                        gmres_recycled(
-                            &op,
-                            &r,
-                            None,
-                            carry.precond.as_ref().expect("factored above"),
-                            &opts.krylov,
-                            gws,
-                            &mut carry.recycle,
-                        )
-                    } else {
-                        gmres_with(
-                            &op,
-                            &r,
-                            None,
-                            carry.precond.as_ref().expect("factored above"),
-                            &opts.krylov,
-                            gws,
-                        )
-                    };
+                    let first_try = gmres_with(
+                        &op,
+                        &r,
+                        None,
+                        carry.precond.as_ref().expect("factored above"),
+                        &opts.krylov,
+                        gws,
+                        recycling.then_some(&mut carry.recycle),
+                    );
                     match first_try {
                         Err(rfsim_numerics::Error::NoConvergence { .. }) if !refactored => {
                             // A kept factor from an earlier linearization
@@ -871,32 +814,21 @@ fn newton_hb(
                             carry.precond = Some(HarmonicBlockPrecond::new(grid, &lins, n)?);
                             stats.precond_factorizations += 1;
                             carry.base_inner = None;
-                            if recycling {
-                                gmres_recycled(
-                                    &op,
-                                    &r,
-                                    None,
-                                    carry.precond.as_ref().expect("just factored"),
-                                    &opts.krylov,
-                                    gws,
-                                    &mut carry.recycle,
-                                )
-                            } else {
-                                gmres_with(
-                                    &op,
-                                    &r,
-                                    None,
-                                    carry.precond.as_ref().expect("just factored"),
-                                    &opts.krylov,
-                                    gws,
-                                )
-                            }
+                            gmres_with(
+                                &op,
+                                &r,
+                                None,
+                                carry.precond.as_ref().expect("just factored"),
+                                &opts.krylov,
+                                gws,
+                                recycling.then_some(&mut carry.recycle),
+                            )
                         }
                         other => other,
                     }
                 } else {
                     stats.solver_bytes = stats.solver_bytes.max(basis);
-                    gmres_with(&op, &r, None, &IdentityPrecond, &opts.krylov, gws)
+                    gmres_with(&op, &r, None, &IdentityPrecond, &opts.krylov, gws, None)
                 };
                 let (dx, st) = result.map_err(Error::Numerics)?;
                 telemetry::histogram_record("hb.gmres.iterations_per_newton", st.iterations as f64);
@@ -1029,11 +961,6 @@ impl HbSweep {
         self.state.is_some()
     }
 
-    /// The carried Newton state, once the first point has solved.
-    pub fn carry(&self) -> Option<&NewtonCarry> {
-        self.state.as_ref().map(|st| &st.carry)
-    }
-
     /// Approximate resident bytes of the warm state: previous solution,
     /// matvec workspace, preconditioner factors, and recycle space. What
     /// a cache eviction would actually free — used by `rfsim-serve` to
@@ -1100,21 +1027,6 @@ impl HbSweep {
         self.state = Some(SweepState { n, x: sol.x.clone(), ws, gws, carry });
         Ok(sol)
     }
-}
-
-/// Solves a sweep of related HB problems in order, warm-starting each
-/// point from the previous solution (see [`HbSweep`]).
-///
-/// # Errors
-/// Propagates the first failing point.
-pub fn solve_hb_sweep(
-    daes: &[&dyn Dae],
-    grid: &SpectralGrid,
-    opts: &HbOptions,
-) -> Result<Vec<HbSolution>> {
-    let _span = telemetry::span("hb.sweep");
-    let mut sweep = HbSweep::new(grid, opts);
-    daes.iter().map(|dae| sweep.solve(*dae)).collect()
 }
 
 /// The HB matvec hot path frozen at one linearization point: the
@@ -1321,9 +1233,9 @@ mod tests {
         let opts = HbOptions { source_steps: 3, ..Default::default() };
         let amps = [0.4, 0.5, 0.6, 0.7, 0.8];
         let daes: Vec<_> = amps.iter().map(|&a| clipper(a)).collect();
-        let refs: Vec<&dyn Dae> = daes.iter().map(|d| d as &dyn Dae).collect();
-        let warm = solve_hb_sweep(&refs, &grid, &opts).unwrap();
-        for (dae, w) in daes.iter().zip(&warm) {
+        let mut sweep = HbSweep::new(&grid, &opts);
+        for dae in &daes {
+            let w = sweep.solve(dae).unwrap();
             let cold = solve_hb(dae, &grid, &opts).unwrap();
             // Both converged to residual ∞-norm < tol on the same
             // problem; the iterates themselves agree to a looser bound
@@ -1342,8 +1254,8 @@ mod tests {
         let opts = HbOptions { source_steps: 4, ..Default::default() };
         let amps = [0.5, 0.55, 0.6, 0.65, 0.7];
         let daes: Vec<_> = amps.iter().map(|&a| clipper(a)).collect();
-        let refs: Vec<&dyn Dae> = daes.iter().map(|d| d as &dyn Dae).collect();
-        let warm = solve_hb_sweep(&refs, &grid, &opts).unwrap();
+        let mut sweep = HbSweep::new(&grid, &opts);
+        let warm: Vec<_> = daes.iter().map(|d| sweep.solve(d).unwrap()).collect();
         let warm_newton: usize = warm[1..].iter().map(|s| s.stats.newton_iterations).sum();
         let cold_newton: usize = daes[1..]
             .iter()

@@ -19,16 +19,13 @@
 //! both as the baseline the paper compares MMFT against (Fig. 5) and as the
 //! periodic-steady-state substrate for phase-noise analysis.
 
-pub mod adaptive;
 pub mod fourier;
 pub mod hb;
 pub mod shooting;
 
-pub use adaptive::AdaptiveHbSweep;
 pub use fourier::{GridWorkspace, SpectralGrid, ToneAxis};
 pub use hb::{
-    solve_hb, solve_hb_carried, solve_hb_sweep, HbHotPath, HbOptions, HbSolution, HbSolver,
-    HbStats, HbSweep, NewtonCarry, PrecondRefresh,
+    solve_hb, HbHotPath, HbOptions, HbSolution, HbSolver, HbStats, HbSweep, PrecondRefresh,
 };
 pub use shooting::{shooting, ShootingOptions, ShootingResult};
 

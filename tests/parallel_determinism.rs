@@ -18,7 +18,7 @@ use rfsim::em::kernel::GreenFn;
 use rfsim::em::mom::MomProblem;
 use rfsim::phasenoise::pss::{oscillator_pss, PssOptions};
 use rfsim::phasenoise::{monte_carlo_ensemble, McOptions, VanDerPol};
-use rfsim::steady::{solve_hb, HbOptions, SpectralGrid};
+use rfsim::steady::{solve_hb, HbOptions, HbSweep, SpectralGrid};
 use std::process::Command;
 
 const CHILD_VAR: &str = "RFSIM_PARALLEL_TEST_CHILD";
@@ -118,12 +118,11 @@ fn child_workload() {
 
     // Warm-started HB amplitude sweep (carried preconditioner factors and
     // recycled Krylov directions must not break bitwise determinism).
-    let daes: Vec<_> = [0.6, 0.8, 1.0, 1.2].iter().map(|&a| clipper(a)).collect();
-    let refs: Vec<&dyn rfsim::circuit::dae::Dae> =
-        daes.iter().map(|d| d as &dyn rfsim::circuit::dae::Dae).collect();
-    let sweep =
-        rfsim::steady::solve_hb_sweep(&refs, &grid, &HbOptions::default()).expect("hb sweep");
-    let all: Vec<f64> = sweep.iter().flat_map(|s| s.x.iter().copied()).collect();
+    let mut sweep = HbSweep::new(&grid, &HbOptions::default());
+    let all: Vec<f64> = [0.6, 0.8, 1.0, 1.2]
+        .iter()
+        .flat_map(|&a| sweep.solve(&clipper(a)).expect("hb sweep").x)
+        .collect();
     emit("hb_sweep_solution", &all);
 
     // Monte Carlo jitter ensemble (parallel trajectories, per-trajectory

@@ -4,10 +4,9 @@
 //! must reproduce cold point-by-point solves to solver tolerance — the
 //! sweep paths share *work*, never accuracy.
 
-use rfsim::circuit::dae::Dae;
 use rfsim::circuit::prelude::*;
 use rfsim::circuit::Circuit;
-use rfsim::steady::{solve_hb, solve_hb_sweep, HbOptions, SpectralGrid};
+use rfsim::steady::{solve_hb, HbOptions, HbSweep, SpectralGrid};
 
 /// Diode clipper driven at `amp` volts — nonlinearity grows with drive,
 /// like the e03 mixer's drive-level sweep.
@@ -27,9 +26,9 @@ fn hb_amplitude_sweep_matches_cold_points() {
     let grid = SpectralGrid::single_tone(1e6, 7).unwrap();
     let opts = HbOptions::default();
     let daes: Vec<_> = [0.4, 0.7, 1.0, 1.3].iter().map(|&a| clipper(a)).collect();
-    let refs: Vec<&dyn Dae> = daes.iter().map(|d| d as &dyn Dae).collect();
-    let warm = solve_hb_sweep(&refs, &grid, &opts).unwrap();
-    for (i, (dae, w)) in daes.iter().zip(&warm).enumerate() {
+    let mut sweep = HbSweep::new(&grid, &opts);
+    for (i, dae) in daes.iter().enumerate() {
+        let w = sweep.solve(dae).unwrap();
         let cold = solve_hb(dae, &grid, &opts).unwrap();
         let err = w.x.iter().zip(&cold.x).map(|(a, b)| (a - b).abs()).fold(0.0f64, f64::max);
         // Both converged to |residual|∞ < tol on the same equations; the
