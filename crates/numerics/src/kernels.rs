@@ -5,12 +5,12 @@
 //! matvec, MoM panel quadrature) reach vectorized arithmetic. Dispatch is
 //! resolved **once per process** into a cached table:
 //!
-//! * the `simd` Cargo feature must be enabled (it is by default),
+//! * the CPU must report AVX2 + FMA at runtime (never true off x86-64,
+//!   where the AVX2 module is not compiled at all), and
 //! * the `RFSIM_SIMD` environment variable must not be `off`/`0`/`scalar`
-//!   (the kill-switch for bitwise-reproducible runs), and
-//! * the CPU must report AVX2 + FMA at runtime.
+//!   (the kill-switch for bitwise-reproducible runs).
 //!
-//! When any of those fail, every kernel falls back to a **portable scalar
+//! When either fails, every kernel falls back to a **portable scalar
 //! loop that is bitwise-identical to the historical implementation**, so
 //! the `RFSIM_THREADS` determinism harness keeps its guarantees under
 //! `RFSIM_SIMD=off`. The SIMD paths reassociate reductions (multiple
@@ -25,7 +25,7 @@
 use crate::Complex;
 use std::sync::OnceLock;
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 pub(crate) mod avx2;
 
 /// The resolved kernel dispatch decision for this process.
@@ -47,12 +47,12 @@ fn resolve_dispatch() -> Dispatch {
     Dispatch { simd, label: if simd { "avx2" } else { "scalar" } }
 }
 
-#[cfg(all(feature = "simd", target_arch = "x86_64"))]
+#[cfg(target_arch = "x86_64")]
 fn cpu_has_simd() -> bool {
     std::arch::is_x86_feature_detected!("avx2") && std::arch::is_x86_feature_detected!("fma")
 }
 
-#[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
+#[cfg(not(target_arch = "x86_64"))]
 fn cpu_has_simd() -> bool {
     false
 }
@@ -96,7 +96,7 @@ pub fn note_dispatch(ops: u64) {
 #[inline]
 pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len(), "dot length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         return unsafe { avx2::dot_f64(a, b) };
@@ -108,7 +108,7 @@ pub fn dot_f64(a: &[f64], b: &[f64]) -> f64 {
 /// historical `numerics::norm2` accumulation bitwise.
 #[inline]
 pub fn norm2_sq_f64(v: &[f64]) -> f64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         return unsafe { avx2::norm2_sq_f64(v) };
@@ -121,7 +121,7 @@ pub fn norm2_sq_f64(v: &[f64]) -> f64 {
 #[inline]
 pub fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
     assert_eq!(x.len(), y.len(), "axpy length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::axpy_f64(alpha, x, y) };
@@ -136,7 +136,7 @@ pub fn axpy_f64(alpha: f64, x: &[f64], y: &mut [f64]) {
 /// reassociation), but the scalar loop is kept as the reference.
 #[inline]
 pub fn scale_f64(v: &mut [f64], s: f64) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::scale_f64(v, s) };
@@ -156,7 +156,7 @@ pub fn scale_f64(v: &mut [f64], s: f64) {
 #[inline]
 pub fn cdot(a: &[Complex], b: &[Complex]) -> Complex {
     assert_eq!(a.len(), b.len(), "cdot length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         return unsafe { avx2::cdot(a, b) };
@@ -174,7 +174,7 @@ pub fn cdot(a: &[Complex], b: &[Complex]) -> Complex {
 #[inline]
 pub fn cdotu(a: &[Complex], b: &[Complex]) -> Complex {
     assert_eq!(a.len(), b.len(), "cdotu length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         return unsafe { avx2::cdotu(a, b) };
@@ -195,7 +195,7 @@ pub fn cdotu(a: &[Complex], b: &[Complex]) -> Complex {
 #[inline]
 pub fn cdotu_widen(a: &[f32], b: &[Complex]) -> Complex {
     assert_eq!(a.len(), 2 * b.len(), "cdotu_widen length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         return unsafe { avx2::cdotu_widen(a, b) };
@@ -211,7 +211,7 @@ pub fn cdotu_widen(a: &[f32], b: &[Complex]) -> Complex {
 /// matches the historical `complex::cnorm2` accumulation bitwise.
 #[inline]
 pub fn cnorm2_sq(v: &[Complex]) -> f64 {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         return unsafe { avx2::cnorm2_sq(v) };
@@ -224,7 +224,7 @@ pub fn cnorm2_sq(v: &[Complex]) -> f64 {
 #[inline]
 pub fn caxpy(alpha: Complex, x: &[Complex], y: &mut [Complex]) {
     assert_eq!(x.len(), y.len(), "caxpy length mismatch");
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::caxpy(alpha, x, y) };
@@ -238,7 +238,7 @@ pub fn caxpy(alpha: Complex, x: &[Complex], y: &mut [Complex]) {
 /// `v ← s·v` (real scale of a complex slice, the MGS normalization step).
 #[inline]
 pub fn cscale(v: &mut [Complex], s: f64) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::cscale(v, s) };
@@ -262,7 +262,7 @@ pub fn cscale(v: &mut [Complex], s: f64) {
 /// bitwise.
 #[inline]
 pub(crate) fn fft_stages(data: &mut [Complex], twiddles: &[Complex]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::fft_stages(data, twiddles) };
@@ -297,7 +297,7 @@ pub(crate) fn fft_stages(data: &mut [Complex], twiddles: &[Complex]) {
 #[inline]
 pub(crate) fn cbutterfly_rows(lo: &mut [Complex], hi: &mut [Complex], w: Complex) {
     debug_assert_eq!(lo.len(), hi.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::cbutterfly_rows(lo, hi, w) };
@@ -316,7 +316,7 @@ pub(crate) fn cbutterfly_rows(lo: &mut [Complex], hi: &mut [Complex], w: Complex
 #[inline]
 pub(crate) fn cmul_rows(dst: &mut [Complex], src: &[Complex], w: Complex) {
     debug_assert_eq!(dst.len(), src.len());
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime; the two
         // slices are distinct borrows, hence non-overlapping.
@@ -331,7 +331,7 @@ pub(crate) fn cmul_rows(dst: &mut [Complex], src: &[Complex], w: Complex) {
 /// In-place `row[i] ← w·row[i]` with one constant complex factor.
 #[inline]
 pub(crate) fn cmul_row_inplace(row: &mut [Complex], w: Complex) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime; src == dst
         // is full (not partial) overlap, which the kernel's load-compute-
@@ -349,7 +349,7 @@ pub(crate) fn cmul_row_inplace(row: &mut [Complex], w: Complex) {
 /// prologue conjugation).
 #[inline]
 pub(crate) fn cconj_scale(v: &mut [Complex], s: f64) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::cconj_scale(v, s) };
@@ -368,7 +368,7 @@ pub(crate) fn cconj_scale(v: &mut [Complex], s: f64) {
 /// evaluation (~2 ulp); scalar path is `f64::asinh`.
 #[inline]
 pub fn asinh_slice(v: &mut [f64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::asinh_slice(v) };
@@ -383,7 +383,7 @@ pub fn asinh_slice(v: &mut [f64]) {
 /// rational evaluation (~1 ulp); scalar path is `f64::atan`.
 #[inline]
 pub fn atan_slice(v: &mut [f64]) {
-    #[cfg(all(feature = "simd", target_arch = "x86_64"))]
+    #[cfg(target_arch = "x86_64")]
     if simd_active() {
         // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
         unsafe { avx2::atan_slice(v) };

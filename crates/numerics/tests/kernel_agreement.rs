@@ -5,9 +5,9 @@
 //! contract between them:
 //!
 //! * **Scalar dispatch is the bitwise reference.** When `simd_active()`
-//!   is false (no AVX2, `--no-default-features`, or `RFSIM_SIMD=off`),
-//!   each kernel must reproduce the naive evaluation order exactly —
-//!   asserted here bit for bit.
+//!   is false (no AVX2, not x86-64, or `RFSIM_SIMD=off`), each kernel
+//!   must reproduce the naive evaluation order exactly — asserted here
+//!   bit for bit.
 //! * **SIMD dispatch agrees within reassociation error.** The vector
 //!   paths split reductions across lanes, so results may differ from
 //!   the reference by normal floating-point reassociation — bounded

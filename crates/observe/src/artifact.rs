@@ -5,6 +5,8 @@
 
 use rfsim_telemetry::Json;
 use std::collections::BTreeMap;
+use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 /// Version stamped into every artifact; bump on breaking layout change.
 pub const SCHEMA_VERSION: u64 = 1;
@@ -171,25 +173,64 @@ impl BenchArtifact {
     }
 }
 
-/// Best-effort current git commit: walks up from the working directory
-/// to `.git/HEAD`, dereferencing one level of `ref:` indirection.
-/// Returns `"unknown"` outside a repository.
+/// Best-effort git commit of the working directory: walks up to the
+/// nearest `.git/HEAD` and resolves it. Resolved once per process.
+/// Returns `"unknown"` outside a repository, or when `HEAD` names a ref
+/// that resolves nowhere.
 pub fn git_sha() -> String {
-    let mut dir = std::env::current_dir().unwrap_or_else(|_| std::path::PathBuf::from("."));
-    loop {
-        let head = dir.join(".git/HEAD");
-        if let Ok(content) = std::fs::read_to_string(&head) {
-            let content = content.trim();
-            let sha = match content.strip_prefix("ref: ") {
-                Some(r) => std::fs::read_to_string(dir.join(".git").join(r))
-                    .map(|s| s.trim().to_string())
-                    .unwrap_or_else(|_| content.to_string()),
-                None => content.to_string(),
-            };
-            return sha;
-        }
-        if !dir.pop() {
-            return "unknown".to_string();
-        }
+    static SHA: OnceLock<String> = OnceLock::new();
+    SHA.get_or_init(|| {
+        let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+        cwd.ancestors()
+            .find_map(|dir| head_sha(&dir.join(".git")))
+            .unwrap_or_else(|| "unknown".to_string())
+    })
+    .clone()
+}
+
+/// Resolves `HEAD` inside the git directory `git_dir`: a detached SHA
+/// as is, a `ref:` through its loose file or else `packed-refs` (where
+/// `git gc` moves it), and `"unknown"` if it resolves nowhere. `None`
+/// when `git_dir` has no readable `HEAD`.
+fn head_sha(git_dir: &Path) -> Option<String> {
+    let head = std::fs::read_to_string(git_dir.join("HEAD")).ok()?;
+    let head = head.trim();
+    let Some(name) = head.strip_prefix("ref: ") else { return Some(head.to_string()) };
+    let loose = std::fs::read_to_string(git_dir.join(name)).ok().map(|s| s.trim().to_string());
+    let sha = loose.or_else(|| {
+        std::fs::read_to_string(git_dir.join("packed-refs")).ok()?.lines().find_map(|line| {
+            let (sha, r) = line.split_once(' ')?;
+            (r == name).then(|| sha.to_string())
+        })
+    });
+    Some(sha.unwrap_or_else(|| "unknown".to_string()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn head_resolves_loose_packed_and_detached_refs() {
+        const SHA: &str = "0123456789abcdef0123456789abcdef01234567";
+        let git = std::env::temp_dir().join(format!("rfsim-observe-head-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&git);
+        std::fs::create_dir_all(git.join("refs/heads")).unwrap();
+        let write = |file: &str, text: &str| std::fs::write(git.join(file), text).unwrap();
+        write("HEAD", "ref: refs/heads/loose\n");
+        write("refs/heads/loose", &format!("{SHA}\n"));
+        assert_eq!(head_sha(&git).as_deref(), Some(SHA));
+        write("HEAD", "ref: refs/heads/packed\n");
+        write(
+            "packed-refs",
+            &format!("# pack-refs with: peeled fully-peeled sorted\n{SHA} refs/heads/packed\n"),
+        );
+        assert_eq!(head_sha(&git).as_deref(), Some(SHA));
+        write("HEAD", &format!("{SHA}\n"));
+        assert_eq!(head_sha(&git).as_deref(), Some(SHA));
+        write("HEAD", "ref: refs/heads/missing\n");
+        assert_eq!(head_sha(&git).as_deref(), Some("unknown"));
+        std::fs::remove_dir_all(&git).unwrap();
+        assert_eq!(head_sha(&git), None);
     }
 }

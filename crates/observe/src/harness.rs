@@ -121,29 +121,24 @@ impl Harness {
     }
 
     /// Runs one sweep point, capturing its wall clock and the telemetry
-    /// counter deltas it alone produced. The closure records further
-    /// metrics through the [`PointMetrics`] handle.
+    /// counter deltas it alone produced ([`telemetry::counted`]). The
+    /// closure records further metrics through the [`PointMetrics`]
+    /// handle.
     pub fn sweep_point<T>(
         &mut self,
         label: &str,
         params: &[(&str, f64)],
         f: impl FnOnce(&mut PointMetrics) -> T,
     ) -> T {
-        let before = telemetry::snapshot().counters;
-        let span = telemetry::span_dyn(format!("bench.sweep.{label}"));
-        let t0 = Instant::now();
         let mut pm = PointMetrics::default();
-        let out = f(&mut pm);
-        let wall_seconds = t0.elapsed().as_secs_f64();
-        drop(span);
-        let after = telemetry::snapshot().counters;
-        let counters = after
-            .into_iter()
-            .filter_map(|(k, v)| {
-                let delta = v - before.get(&k).copied().unwrap_or(0);
-                (delta > 0).then_some((k, delta))
-            })
-            .collect();
+        // The clock runs inside the counted scope, so the two counter
+        // reads stay out of `wall_seconds`.
+        let ((out, wall_seconds), counters) = telemetry::counted(|| {
+            let _span = telemetry::span_dyn(format!("bench.sweep.{label}"));
+            let t0 = Instant::now();
+            let out = f(&mut pm);
+            (out, t0.elapsed().as_secs_f64())
+        });
         pm.metrics.insert("wall_seconds".to_string(), wall_seconds);
         self.sweep.push(SweepPoint {
             label: label.to_string(),

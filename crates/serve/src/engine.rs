@@ -102,40 +102,42 @@ impl Engine {
     }
 
     /// Runs one queued job, timing it and attributing telemetry counter
-    /// deltas to it. Deltas are exact when jobs run one at a time (the
-    /// integration tests pin `workers = 1`); under concurrency they are
-    /// a superposition across workers — still monotone evidence of
-    /// warm-state reuse, just not per-job-exact.
+    /// deltas to it ([`rfsim_telemetry::counted`]). Deltas are exact when
+    /// jobs run one at a time (the integration tests pin `workers = 1`);
+    /// under concurrency they are a superposition across workers — still
+    /// monotone evidence of warm-state reuse, just not per-job-exact.
     pub fn execute(&self, req: &Request) -> JobOutcome {
-        let before = rfsim_telemetry::snapshot().counters;
-        let start = Instant::now();
-        let (op, params, outcome) = match req {
-            Request::Sleep { ms } => {
-                let _span = rfsim_telemetry::span("serve.exec.sleep");
-                std::thread::sleep(std::time::Duration::from_millis(*ms));
-                (
-                    "sleep",
-                    vec![("ms".to_string(), *ms as f64)],
-                    Ok((Json::Obj(BTreeMap::new()), false)),
-                )
-            }
-            Request::Hb(job) => {
-                let _span = rfsim_telemetry::span("serve.exec.hb");
-                ("hb", hb_params(job), self.run_hb(job))
-            }
-            Request::Extract(job) => {
-                let _span = rfsim_telemetry::span("serve.exec.extract");
-                ("extract", extract_params(job), self.run_extract(job))
-            }
-            // The crash-test op: the server's worker harness catches
-            // this, dumps the flight recorder, and answers `solver`.
-            Request::Panic => panic!("deliberate panic requested by op:\"panic\""),
-            // Ping/stats/metrics/dump/shutdown are answered inline by
-            // the server and never reach a worker.
-            _ => ("noop", Vec::new(), Ok((Json::Obj(BTreeMap::new()), false))),
-        };
-        let wall = start.elapsed().as_secs_f64();
-        let mut counters = counter_deltas(&before, &rfsim_telemetry::snapshot().counters);
+        // The clock starts inside the counted scope, so the two counter
+        // reads stay out of `exec_seconds`.
+        let ((op, params, outcome, wall), mut counters) = rfsim_telemetry::counted(|| {
+            let start = Instant::now();
+            let (op, params, outcome) = match req {
+                Request::Sleep { ms } => {
+                    let _span = rfsim_telemetry::span("serve.exec.sleep");
+                    std::thread::sleep(std::time::Duration::from_millis(*ms));
+                    (
+                        "sleep",
+                        vec![("ms".to_string(), *ms as f64)],
+                        Ok((Json::Obj(BTreeMap::new()), false)),
+                    )
+                }
+                Request::Hb(job) => {
+                    let _span = rfsim_telemetry::span("serve.exec.hb");
+                    ("hb", hb_params(job), self.run_hb(job))
+                }
+                Request::Extract(job) => {
+                    let _span = rfsim_telemetry::span("serve.exec.extract");
+                    ("extract", extract_params(job), self.run_extract(job))
+                }
+                // The crash-test op: the server's worker harness catches
+                // this, dumps the flight recorder, and answers `solver`.
+                Request::Panic => panic!("deliberate panic requested by op:\"panic\""),
+                // Ping/stats/metrics/dump/shutdown are answered inline by
+                // the server and never reach a worker.
+                _ => ("noop", Vec::new(), Ok((Json::Obj(BTreeMap::new()), false))),
+            };
+            (op, params, outcome, start.elapsed().as_secs_f64())
+        });
         let (result, warm) = match outcome {
             Ok((json, warm)) => (Ok(json), warm),
             Err(e) => (Err(e), false),
@@ -264,19 +266,6 @@ fn extract_params(job: &ExtractJob) -> Vec<(String, f64)> {
         ("nq".to_string(), job.nq as f64),
         ("tol".to_string(), job.tol),
     ]
-}
-
-fn counter_deltas(
-    before: &BTreeMap<String, u64>,
-    after: &BTreeMap<String, u64>,
-) -> BTreeMap<String, u64> {
-    after
-        .iter()
-        .filter_map(|(k, v)| {
-            let d = v.saturating_sub(before.get(k).copied().unwrap_or(0));
-            (d > 0).then(|| (k.clone(), d))
-        })
-        .collect()
 }
 
 /// Builds the per-job artifact: one sweep point, the job's counter

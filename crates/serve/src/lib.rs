@@ -49,6 +49,4 @@ pub use protocol::{
 };
 pub use scheduler::{Reject, Scheduler, SchedulerStats};
 pub use server::{Server, ServerConfig};
-pub use wire::{
-    read_frame, write_frame, FrameDecoder, FrameError, MAX_FRAME_BYTES, MAX_JSON_DEPTH,
-};
+pub use wire::{read_frame, write_frame, FrameError, MAX_FRAME_BYTES, MAX_JSON_DEPTH};

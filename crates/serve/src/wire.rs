@@ -49,58 +49,6 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-/// Incremental frame decoder: push bytes in whatever chunks the socket
-/// delivers, pull complete payloads out. Handles frames split across
-/// arbitrarily many reads and many frames arriving in one read
-/// (interleaving) — the property tests feed it every such slicing.
-#[derive(Debug, Default)]
-pub struct FrameDecoder {
-    buf: Vec<u8>,
-}
-
-impl FrameDecoder {
-    /// An empty decoder.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Appends raw bytes from the stream.
-    pub fn push(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Bytes buffered but not yet consumed as a frame.
-    pub fn pending(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Pops the next complete payload, `Ok(None)` if more bytes are
-    /// needed. After an [`FrameError::Oversized`] the decoder is
-    /// poisoned — resynchronizing inside a byte stream whose framing we
-    /// no longer trust is guesswork, so the caller must drop the
-    /// connection.
-    ///
-    /// # Errors
-    /// [`FrameError::Oversized`] when the prefix announces an
-    /// impossible length.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, FrameError> {
-        if self.buf.len() < 4 {
-            return Ok(None);
-        }
-        let announced =
-            u32::from_be_bytes([self.buf[0], self.buf[1], self.buf[2], self.buf[3]]) as usize;
-        if announced > MAX_FRAME_BYTES {
-            return Err(FrameError::Oversized { announced });
-        }
-        if self.buf.len() < 4 + announced {
-            return Ok(None);
-        }
-        let payload = self.buf[4..4 + announced].to_vec();
-        self.buf.drain(..4 + announced);
-        Ok(Some(payload))
-    }
-}
-
 /// Writes one frame (prefix + payload).
 ///
 /// # Errors
@@ -200,30 +148,25 @@ mod tests {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"{\"op\":\"ping\"}").unwrap();
         write_frame(&mut wire, b"second").unwrap();
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire);
-        assert_eq!(dec.next_frame().unwrap().unwrap(), b"{\"op\":\"ping\"}");
-        assert_eq!(dec.next_frame().unwrap().unwrap(), b"second");
-        assert!(dec.next_frame().unwrap().is_none());
-        assert_eq!(dec.pending(), 0);
+        let mut r = &wire[..];
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"{\"op\":\"ping\"}");
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"second");
+        assert!(read_frame(&mut r).unwrap().is_none());
     }
 
     #[test]
     fn split_prefix_waits_for_more() {
         let mut wire = Vec::new();
         write_frame(&mut wire, b"abc").unwrap();
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire[..2]);
-        assert!(dec.next_frame().unwrap().is_none());
-        dec.push(&wire[2..]);
-        assert_eq!(dec.next_frame().unwrap().unwrap(), b"abc");
+        // `Chain` hands out the first two prefix bytes on their own read.
+        let mut r = (&wire[..2]).chain(&wire[2..]);
+        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"abc");
     }
 
     #[test]
     fn oversized_prefix_is_rejected_without_allocating() {
-        let mut dec = FrameDecoder::new();
-        dec.push(&u32::MAX.to_be_bytes());
-        assert!(matches!(dec.next_frame(), Err(FrameError::Oversized { .. })));
+        let mut r = &u32::MAX.to_be_bytes()[..];
+        assert!(matches!(read_frame(&mut r), Err(FrameError::Oversized { .. })));
     }
 
     #[test]

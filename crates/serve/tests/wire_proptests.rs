@@ -5,9 +5,10 @@
 //! either survives or closes cleanly.
 
 use proptest::prelude::*;
-use rfsim_serve::wire::{depth_within, FrameDecoder, MAX_FRAME_BYTES, MAX_JSON_DEPTH};
+use rfsim_serve::wire::{depth_within, read_frame, FrameError, MAX_FRAME_BYTES, MAX_JSON_DEPTH};
 use rfsim_serve::{Client, Server, ServerConfig};
 use rfsim_telemetry::Json;
+use std::io::Read;
 use std::sync::OnceLock;
 
 /// One server shared by every connection-level case in this binary —
@@ -38,75 +39,68 @@ fn frame_bytes(payloads: &[Vec<u8>]) -> Vec<u8> {
     wire
 }
 
-/// Splits `data` at the given fractions, yielding 1..=4 chunks.
-fn chunked(data: &[u8], cuts: &[f64]) -> Vec<Vec<u8>> {
+/// `data` split at up to two fractions, read back through `Read::chain`
+/// so each chunk arrives on reads of its own, as socket segments do;
+/// `chain` skips empty chunks instead of reading them as an early EOF.
+fn chunked<'a>(data: &'a [u8], cuts: &[f64]) -> impl Read + 'a {
     let mut at: Vec<usize> = cuts.iter().map(|f| ((data.len() as f64) * f) as usize).collect();
+    at.resize(2, data.len());
     at.sort_unstable();
-    let mut out = Vec::new();
-    let mut prev = 0;
-    for cut in at {
-        out.push(data[prev..cut].to_vec());
-        prev = cut;
-    }
-    out.push(data[prev..].to_vec());
-    out
+    let (head, rest) = data.split_at(at[0]);
+    let (mid, tail) = rest.split_at(at[1] - at[0]);
+    head.chain(mid).chain(tail)
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Pushing arbitrary garbage in arbitrary chunkings never panics;
-    /// the decoder either yields frames, waits for more, or reports a
-    /// typed oversize error.
+    /// Reading arbitrary garbage in arbitrary chunkings never panics:
+    /// `read_frame` yields frames until a clean EOF or a typed error,
+    /// and a first prefix over the limit is `Oversized`.
     #[test]
     fn decoder_never_panics_on_garbage(
         data in bytes(0..512),
         cuts in proptest::collection::vec(0.0f64..1.0, 0..3),
     ) {
-        let mut dec = FrameDecoder::new();
-        for chunk in chunked(&data, &cuts) {
-            dec.push(&chunk);
-            // Drain until the decoder wants more bytes or errors out.
-            loop {
-                match dec.next_frame() {
-                    Ok(Some(frame)) => prop_assert!(frame.len() <= MAX_FRAME_BYTES),
-                    Ok(None) => break,
-                    Err(_) => return Ok(()), // typed failure is fine; panic is not
-                }
-            }
+        let mut r = chunked(&data, &cuts);
+        if data.len() >= 4
+            && u32::from_be_bytes([data[0], data[1], data[2], data[3]]) as usize > MAX_FRAME_BYTES
+        {
+            prop_assert!(matches!(read_frame(&mut r), Err(FrameError::Oversized { .. })));
+            return Ok(());
+        }
+        // Drain until a clean EOF or a typed failure; a panic is the bug.
+        while let Ok(Some(frame)) = read_frame(&mut r) {
+            prop_assert!(frame.len() <= MAX_FRAME_BYTES);
         }
     }
 
-    /// Well-formed frames survive any interleaving/chunking exactly.
+    /// Well-formed frames survive any chunking exactly.
     #[test]
     fn decoder_recovers_frames_across_any_chunking(
         payloads in proptest::collection::vec(bytes(0..64), 1..5),
         cuts in proptest::collection::vec(0.0f64..1.0, 0..3),
     ) {
         let wire = frame_bytes(&payloads);
-        let mut dec = FrameDecoder::new();
+        let mut r = chunked(&wire, &cuts);
         let mut got = Vec::new();
-        for chunk in chunked(&wire, &cuts) {
-            dec.push(&chunk);
-            while let Some(frame) = dec.next_frame().unwrap() {
-                got.push(frame);
-            }
+        while let Some(frame) = read_frame(&mut r).unwrap() {
+            got.push(frame);
         }
         prop_assert_eq!(got, payloads);
-        prop_assert_eq!(dec.pending(), 0);
     }
 
-    /// A truncated tail never produces a frame and never panics.
+    /// A stream cut anywhere inside a frame is `Truncated`, never a
+    /// frame and never a panic.
     #[test]
-    fn decoder_waits_on_truncation(
+    fn decoder_reports_truncation(
         payload in bytes(1..64),
         keep in 0.0f64..1.0,
     ) {
         let wire = frame_bytes(std::slice::from_ref(&payload));
         let cut = 1 + ((wire.len() - 1) as f64 * keep) as usize;
-        let mut dec = FrameDecoder::new();
-        dec.push(&wire[..cut.min(wire.len() - 1)]);
-        prop_assert!(dec.next_frame().unwrap().is_none());
+        let mut r = &wire[..cut.min(wire.len() - 1)];
+        prop_assert!(matches!(read_frame(&mut r), Err(FrameError::Truncated)));
     }
 
     /// The depth guard never panics and never under-counts: anything it

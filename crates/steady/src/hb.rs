@@ -284,16 +284,16 @@ struct HarmonicBlockPrecond {
     /// shows up in final accuracy. Empty under `RFSIM_SIMD=off`, keeping
     /// the scalar path bitwise-identical to the historical solver.
     blocks_f32: Vec<rfsim_numerics::dense::LuSingle>,
-    /// Reusable apply buffers for the serial path. `Preconditioner::apply`
-    /// takes `&self`, so interior mutability is required; a `Mutex` (not a
-    /// `RefCell`) keeps the type `Sync` for the parallel path's scoped
-    /// closures. The lock is uncontended: the serial path is chosen
-    /// exactly when no worker threads are running.
+    /// Reusable apply buffers. `Preconditioner::apply` takes `&self`, so
+    /// interior mutability is required; a `Mutex` (not a `RefCell`) keeps
+    /// the type `Sync` for the `par_bins` closures, which borrow `self` on
+    /// pool threads. The lock is uncontended: one GMRES solve applies a
+    /// preconditioner at a time.
     scratch: Mutex<PrecondScratch>,
 }
 
-/// Buffers for the allocation-free serial [`HarmonicBlockPrecond::apply`]
-/// path: the frequency-domain field (bin-major, `samples()·n`), one bin's
+/// Buffers for [`HarmonicBlockPrecond::apply_batched`]: the
+/// frequency-domain field (bin-major, `samples()·n`), one bin's
 /// solve output, the transform scratch, and the cached per-axis plans.
 #[derive(Debug)]
 struct PrecondScratch {
@@ -314,9 +314,9 @@ impl PrecondScratch {
     }
 }
 
-/// Below this many HB unknowns the batched serial apply path wins even
-/// with worker threads available: spawning a parallel region per GMRES
-/// iteration costs more than the transforms themselves.
+/// Below this many HB unknowns the bin solves stay on the calling thread
+/// even with worker threads available: spawning a parallel region per
+/// GMRES iteration costs more than the solves themselves.
 const PRECOND_PAR_MIN_UNKNOWNS: usize = 4096;
 
 impl HarmonicBlockPrecond {
@@ -377,16 +377,14 @@ impl HarmonicBlockPrecond {
             + self.blocks_f32.iter().map(LuSingle::bytes).sum::<usize>()
     }
 
-    /// Allocation-free apply: batched strided transforms over the scratch
-    /// field, per-bin `solve_into`, inverse transforms. Under scalar
-    /// dispatch this is bitwise identical to [`Self::apply_parallel`]
-    /// (both execute the same planned per-line transform and f64 block
-    /// solve for every unknown and bin); under SIMD dispatch the
-    /// transforms run batched across the field and the bin solves hit the
-    /// narrowed [`LuSingle`] factors, with `par_bins` fanning the solves
-    /// out over the worker pool (index-ordered, so the result is the
-    /// same for every thread count).
-    fn apply_serial(
+    /// The one apply executor: batched strided transforms over the
+    /// scratch field, per-bin block solves, inverse transforms. Each bin
+    /// solves against the narrowed [`LuSingle`] factors when they exist
+    /// (SIMD dispatch) and the f64 factors otherwise. `par_bins` fans the
+    /// bin solves out over the worker pool, index-ordered, so the result
+    /// is bitwise the same for every thread count; without it the apply
+    /// is allocation-free.
+    fn apply_batched(
         &self,
         r: &[f64],
         z: &mut [f64],
@@ -416,10 +414,14 @@ impl HarmonicBlockPrecond {
         }
         drop(_span_fwd);
         let _span_trsv = telemetry::span("hb.precond.trsv");
-        if par_bins && !self.blocks_f32.is_empty() {
+        if par_bins {
             let spec = &ws.spec;
             let sols = parallel::par_map_indexed(total, move |bin| {
-                self.blocks_f32[bin].solve(&spec[bin * n..(bin + 1) * n])
+                let rhs = &spec[bin * n..(bin + 1) * n];
+                match self.blocks_f32.get(bin) {
+                    Some(lu32) => lu32.solve(rhs),
+                    None => self.blocks[bin].solve(rhs),
+                }
             });
             for (bin, sol) in sols.into_iter().enumerate() {
                 ws.spec[bin * n..(bin + 1) * n].copy_from_slice(&sol?);
@@ -453,76 +455,6 @@ impl HarmonicBlockPrecond {
         }
         for (zi, c) in z.iter_mut().zip(ws.spec.iter()) {
             *zi = c.re;
-        }
-        Ok(())
-    }
-
-    /// Thread-parallel apply: per-unknown transforms and per-bin solves
-    /// fan out over the worker pool, reassembled in index order.
-    fn apply_parallel(&self, r: &[f64], z: &mut [f64]) -> rfsim_numerics::Result<()> {
-        let n = self.n;
-        let total = self.grid.samples();
-        let axes = self.grid.axes();
-        // Forward transform each unknown's field to the frequency domain.
-        // One independent DFT per unknown; columns are scattered back into
-        // the interleaved layout in index order, so the result is identical
-        // for any thread count.
-        let cols: Vec<Vec<Complex>> = match axes.len() {
-            1 => parallel::par_map_indexed(n, |i| {
-                let line: Vec<Complex> =
-                    (0..total).map(|s| Complex::from_re(r[s * n + i])).collect();
-                rfsim_numerics::fft::dft(&line)
-            }),
-            2 => {
-                let (n0, n1) = (axes[0].samples(), axes[1].samples());
-                parallel::par_map_indexed(n, move |i| {
-                    let gridvals: Vec<Complex> =
-                        (0..total).map(|s| Complex::from_re(r[s * n + i])).collect();
-                    rfsim_numerics::fft::dft2(&gridvals, n0, n1)
-                })
-            }
-            _ => unreachable!(),
-        };
-        let mut spec = vec![Complex::ZERO; total * n];
-        for (i, col) in cols.iter().enumerate() {
-            for (s, v) in col.iter().enumerate() {
-                spec[s * n + i] = *v;
-            }
-        }
-        // Batch-solve all frequency bins against their factored blocks.
-        let sols = {
-            let spec = &spec;
-            parallel::par_map_indexed(total, move |bin| {
-                let rhs: Vec<Complex> = (0..n).map(|i| spec[bin * n + i]).collect();
-                self.blocks[bin].solve(&rhs)
-            })
-        };
-        for (bin, sol) in sols.into_iter().enumerate() {
-            let sol = sol?;
-            for (i, v) in sol.into_iter().enumerate() {
-                spec[bin * n + i] = v;
-            }
-        }
-        // Inverse transform back to the sample domain.
-        let spec = &spec;
-        let back: Vec<Vec<Complex>> = match axes.len() {
-            1 => parallel::par_map_indexed(n, move |i| {
-                let line: Vec<Complex> = (0..total).map(|s| spec[s * n + i]).collect();
-                rfsim_numerics::fft::idft(&line)
-            }),
-            2 => {
-                let (n0, n1) = (axes[0].samples(), axes[1].samples());
-                parallel::par_map_indexed(n, move |i| {
-                    let gridvals: Vec<Complex> = (0..total).map(|s| spec[s * n + i]).collect();
-                    rfsim_numerics::fft::idft2(&gridvals, n0, n1)
-                })
-            }
-            _ => unreachable!(),
-        };
-        for (i, col) in back.iter().enumerate() {
-            for (s, v) in col.iter().enumerate() {
-                z[s * n + i] = v.re;
-            }
         }
         Ok(())
     }
@@ -560,21 +492,13 @@ fn signed_bin(b: usize, ns: usize) -> i64 {
 impl Preconditioner<f64> for HarmonicBlockPrecond {
     fn apply(&self, r: &[f64], z: &mut [f64]) -> rfsim_numerics::Result<()> {
         let _span = telemetry::span("hb.precond.apply");
-        let small = self.grid.samples() * self.n < PRECOND_PAR_MIN_UNKNOWNS;
-        // Under SIMD dispatch the batched strided transforms beat the
-        // per-line parallel path outright, so every thread count runs the
-        // same executor (keeping results thread-count-invariant) and only
-        // the per-bin block solves fan out over the pool.
-        if rfsim_numerics::kernels::simd_active() {
-            let par_bins = !small && parallel::thread_count() > 1;
-            let mut ws = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-            return self.apply_serial(r, z, &mut ws, par_bins);
-        }
-        if small || parallel::thread_count() <= 1 {
-            let mut ws = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-            return self.apply_serial(r, z, &mut ws, false);
-        }
-        self.apply_parallel(r, z)
+        // Every thread count runs the same executor; only the per-bin
+        // solves fan out, and only on systems large enough to pay for a
+        // parallel region per GMRES iteration.
+        let par_bins = self.grid.samples() * self.n >= PRECOND_PAR_MIN_UNKNOWNS
+            && parallel::thread_count() > 1;
+        let mut ws = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
+        self.apply_batched(r, z, &mut ws, par_bins)
     }
 }
 

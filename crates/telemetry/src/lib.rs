@@ -12,7 +12,8 @@
 //! - **Spans** ([`span`]): RAII wall-clock scopes aggregated into a
 //!   process-global tree (`solve_hb` → `newton` → `gmres`).
 //! - **Metrics** ([`counter_add`], [`gauge_set`], [`histogram_record`]):
-//!   named solver counters and distributions.
+//!   named solver counters and distributions; [`counted`] attributes
+//!   counter deltas to one scope (a sweep point, a served job).
 //! - **Convergence traces** ([`TraceBuf`], [`record_trace`]): per-
 //!   iteration residual trajectories of every Newton/Krylov engine.
 //! - **Health monitors** ([`health`]): stagnation / divergence /
@@ -56,7 +57,9 @@ mod trace;
 
 pub use health::{record_health, HealthEvent, HealthStatus, ResidualMonitor, MAX_HEALTH_EVENTS};
 pub use json::Json;
-pub use metrics::{counter_add, gauge_set, histogram_record, Histogram, NUM_BUCKETS, SUB_BUCKETS};
+pub use metrics::{
+    counted, counter_add, gauge_set, histogram_record, Histogram, NUM_BUCKETS, SUB_BUCKETS,
+};
 pub use span::{span, span_dyn, SpanGuard, SpanNode};
 pub use trace::{record_trace, ConvergenceTrace, TraceBuf, MAX_TRACES};
 

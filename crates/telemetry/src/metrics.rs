@@ -305,6 +305,24 @@ pub fn histogram_record(name: &'static str, value: f64) {
     lock(&HISTOGRAMS).entry(name.to_string()).or_default().record(value);
 }
 
+/// Runs `f` and returns its result with the counters that grew while it
+/// ran (saturating deltas, zeros dropped). Only the counter map is read,
+/// before and after `f`, so the cost does not grow with recorded spans,
+/// histograms or traces. The registry is process-global: counters other
+/// threads bump while `f` runs are attributed to `f` as well.
+pub fn counted<T>(f: impl FnOnce() -> T) -> (T, BTreeMap<String, u64>) {
+    let before = counters();
+    let out = f();
+    let deltas = counters()
+        .into_iter()
+        .filter_map(|(k, v)| {
+            let d = v.saturating_sub(before.get(&k).copied().unwrap_or(0));
+            (d > 0).then_some((k, d))
+        })
+        .collect();
+    (out, deltas)
+}
+
 pub(crate) fn counters() -> BTreeMap<String, u64> {
     lock(&COUNTERS).clone()
 }

@@ -81,6 +81,23 @@ fn trace_cap_counts_dropped() {
 }
 
 #[test]
+fn counted_returns_exactly_the_deltas_of_its_scope() {
+    with_clean_state(|| {
+        telemetry::counter_add("counted.before_only", 5);
+        telemetry::counter_add("counted.both", 2);
+        let (out, deltas) = telemetry::counted(|| {
+            telemetry::counter_add("counted.both", 3);
+            telemetry::counter_add("counted.inside", 7);
+            "result"
+        });
+        assert_eq!(out, "result");
+        assert_eq!(deltas.get("counted.inside"), Some(&7));
+        assert_eq!(deltas.get("counted.both"), Some(&3));
+        assert!(!deltas.contains_key("counted.before_only"), "{deltas:?}");
+    });
+}
+
+#[test]
 fn off_mode_records_nothing() {
     let _guard = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
     telemetry::set_mode(telemetry::Mode::Off);
