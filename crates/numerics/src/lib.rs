@@ -13,8 +13,10 @@
 //! - [`Complex`] arithmetic ([`complex`]),
 //! - dense real/complex matrices with LU, QR, SVD and eigenvalue
 //!   decompositions ([`dense`], [`svd`], [`eig`]),
-//! - sparse matrices (triplet/CSR) with a Gilbert–Peierls sparse LU
-//!   ([`sparse`]),
+//! - sparse matrices (triplet/CSR) with a Gilbert–Peierls sparse LU that
+//!   factors on an approximate minimum degree column order, pivots on the
+//!   diagonal unless it is below 0.1× its column's largest candidate, and
+//!   solves with `A` or `Aᵀ` from one factorization ([`sparse`]),
 //! - Krylov-subspace iterative solvers (GMRES, block GMRES) with pluggable
 //!   preconditioners ([`krylov`]),
 //! - FFT/DFT (radix-2 + Bluestein) and spectrum utilities ([`fft`]),

@@ -1,5 +1,6 @@
 //! Sparse matrices: triplet assembly, CSR storage, and a Gilbert–Peierls
-//! left-looking sparse LU with partial pivoting.
+//! left-looking sparse LU on an approximate minimum degree column order
+//! with diagonal-preferring threshold pivoting.
 //!
 //! The differential-equation formulations surveyed in Section 4 of the paper
 //! (and the circuit MNA systems of Section 2) "generate sparse matrices with
@@ -320,13 +321,32 @@ impl<T: Scalar> Csr<T> {
         y
     }
 
-    /// Transpose as a new CSR matrix.
+    /// Transpose as a new CSR matrix, keeping every stored entry.
     pub fn transpose(&self) -> Csr<T> {
-        let mut t = Triplets::new(self.cols, self.rows);
-        for (i, j, v) in self.iter() {
-            t.push(j, i, v);
+        // Counting sort by column: `row_ptr[c + 1]` first counts column
+        // `c`, then holds its start as the scatter cursor, and ends at its
+        // end. Rows are visited in order, so each output row is sorted.
+        let mut row_ptr = vec![0usize; self.cols + 1];
+        for &c in &self.col_idx {
+            row_ptr[c + 1] += 1;
         }
-        t.to_csr()
+        let mut start = 0;
+        for slot in &mut row_ptr[1..] {
+            let count = *slot;
+            *slot = start;
+            start += count;
+        }
+        let mut col_idx = vec![0usize; self.nnz()];
+        let mut vals = vec![T::ZERO; self.nnz()];
+        for (i, w) in self.row_ptr.windows(2).enumerate() {
+            for k in w[0]..w[1] {
+                let slot = &mut row_ptr[self.col_idx[k] + 1];
+                col_idx[*slot] = i;
+                vals[*slot] = self.vals[k];
+                *slot += 1;
+            }
+        }
+        Csr { rows: self.cols, cols: self.rows, row_ptr, col_idx, vals }
     }
 
     /// Returns `alpha·A + beta·B` (shapes must match).
@@ -359,7 +379,9 @@ impl<T: Scalar> Csr<T> {
         (0..self.rows.min(self.cols)).map(|i| self.get(i, i)).collect()
     }
 
-    /// Sparse LU factorization (Gilbert–Peierls, partial pivoting).
+    /// Sparse LU factorization (Gilbert–Peierls on an approximate
+    /// minimum degree column order, diagonal-preferring threshold
+    /// pivoting); see [`SparseLu`].
     ///
     /// # Errors
     /// Returns [`Error::Singular`] if no acceptable pivot exists in some
@@ -377,8 +399,17 @@ impl<T: Scalar> Csr<T> {
     }
 }
 
-/// Sparse LU factors from the Gilbert–Peierls algorithm: `P·A = L·U` with
-/// unit-diagonal `L`, both stored column-wise.
+/// Sparse LU factors from the Gilbert–Peierls algorithm: `P·A·Q = L·U`
+/// with unit-diagonal `L`, both stored column-wise.
+///
+/// `Q` is an approximate minimum degree order of `A + Aᵀ`, so the
+/// factors of the sparse, near-diagonal matrices of the differential
+/// formulations (Table 1) fill far less than in natural order. `P` is
+/// chosen column by column: the permuted diagonal when its modulus is
+/// at least 0.1× the largest candidate's (keeping the structure the
+/// order was computed for), otherwise the largest.
+/// One factorization serves both [`SparseLu::solve`] and
+/// [`SparseLu::solve_transposed`].
 #[derive(Debug, Clone)]
 pub struct SparseLu<T> {
     n: usize,
@@ -391,16 +422,23 @@ pub struct SparseLu<T> {
     u_diag: Vec<T>,
     /// `pinv[orig_row] = pivoted position`.
     pinv: Vec<usize>,
+    /// `q[position] = orig_col`: the column order.
+    q: Vec<usize>,
 }
 
 const UNSET: usize = usize::MAX;
+
+/// A diagonal entry is taken as the pivot when its modulus is at least
+/// this fraction of the largest candidate's in its column (KLU's
+/// default; Davis & Palamadai Natarajan, ACM TOMS 2010).
+const DIAG_PIVOT_TOL: f64 = 0.1;
 
 impl<T: Scalar> SparseLu<T> {
     /// Factors a square CSR matrix.
     ///
     /// # Errors
-    /// Returns [`Error::Singular`] on pivot breakdown,
-    /// [`Error::InvalidArgument`] if not square.
+    /// Returns [`Error::Singular`] with the original column index on
+    /// pivot breakdown, [`Error::InvalidArgument`] if not square.
     pub fn new(a: &Csr<T>) -> Result<Self> {
         if a.rows() != a.cols() {
             return Err(Error::InvalidArgument("sparse lu: matrix must be square"));
@@ -409,28 +447,34 @@ impl<T: Scalar> SparseLu<T> {
         let n = a.rows();
         // Column-compressed view of A (we need columns).
         let at = a.transpose(); // rows of aᵗ are columns of a
+        let q = amd_order(&a.row_ptr, &a.col_idx, &at.row_ptr, &at.col_idx);
+        let nnz = a.nnz();
         let mut lu = SparseLu {
             n,
-            l_colptr: vec![0],
-            l_rowidx: Vec::new(),
-            l_vals: Vec::new(),
-            u_colptr: vec![0],
-            u_rowidx: Vec::new(),
-            u_vals: Vec::new(),
+            l_colptr: Vec::with_capacity(n + 1),
+            l_rowidx: Vec::with_capacity(nnz),
+            l_vals: Vec::with_capacity(nnz),
+            u_colptr: Vec::with_capacity(n + 1),
+            u_rowidx: Vec::with_capacity(nnz),
+            u_vals: Vec::with_capacity(nnz),
             u_diag: vec![T::ZERO; n],
             pinv: vec![UNSET; n],
+            q,
         };
+        lu.l_colptr.push(0);
+        lu.u_colptr.push(0);
         // Work arrays.
         let mut x = vec![T::ZERO; n]; // numeric values by original row index
         let mut pattern: Vec<usize> = Vec::with_capacity(n); // topo order (orig rows)
         let mut visited = vec![false; n];
         let mut stack: Vec<(usize, usize)> = Vec::new();
 
-        for j in 0..n {
+        for k in 0..n {
+            let j = lu.q[k];
             // --- Symbolic: reachability DFS from the pattern of A(:,j). ---
             pattern.clear();
-            for k in at.row_ptr[j]..at.row_ptr[j + 1] {
-                let root = at.col_idx[k];
+            for p in at.row_ptr[j]..at.row_ptr[j + 1] {
+                let root = at.col_idx[p];
                 if visited[root] {
                     continue;
                 }
@@ -459,8 +503,8 @@ impl<T: Scalar> SparseLu<T> {
                 visited[p] = false;
             }
             // --- Numeric: scatter A(:,j), then eliminate in topo order. ---
-            for k in at.row_ptr[j]..at.row_ptr[j + 1] {
-                x[at.col_idx[k]] = at.vals[k];
+            for p in at.row_ptr[j]..at.row_ptr[j + 1] {
+                x[at.col_idx[p]] = at.vals[p];
             }
             for &node in &pattern {
                 let pj = lu.pinv[node];
@@ -471,12 +515,14 @@ impl<T: Scalar> SparseLu<T> {
                 if xv == T::ZERO {
                     continue;
                 }
-                for k in lu.l_colptr[pj]..lu.l_colptr[pj + 1] {
-                    let r = lu.l_rowidx[k];
-                    x[r] -= lu.l_vals[k] * xv;
+                for p in lu.l_colptr[pj]..lu.l_colptr[pj + 1] {
+                    let r = lu.l_rowidx[p];
+                    x[r] -= lu.l_vals[p] * xv;
                 }
             }
-            // --- Pivot: largest modulus among not-yet-pivotal rows. ---
+            // --- Pivot: the diagonal (row j) unless it is too small next
+            // to the largest modulus among not-yet-pivotal rows. `x` is
+            // zero off the pattern, so an absent diagonal never qualifies.
             let mut ipiv = UNSET;
             let mut pmax = 0.0f64;
             for &node in &pattern {
@@ -491,10 +537,13 @@ impl<T: Scalar> SparseLu<T> {
             if ipiv == UNSET || pmax == 0.0 {
                 return Err(Error::Singular(j));
             }
+            if lu.pinv[j] == UNSET && x[j].modulus() >= DIAG_PIVOT_TOL * pmax {
+                ipiv = j;
+            }
             let pivot = x[ipiv];
-            lu.pinv[ipiv] = j;
-            lu.u_diag[j] = pivot;
-            // --- Store U(:, j): pivotal rows; L(:, j): the rest, scaled. ---
+            lu.pinv[ipiv] = k;
+            lu.u_diag[k] = pivot;
+            // --- Store U(:, k): pivotal rows; L(:, k): the rest, scaled. ---
             for &node in &pattern {
                 let pj = lu.pinv[node];
                 let xv = x[node];
@@ -502,19 +551,20 @@ impl<T: Scalar> SparseLu<T> {
                 if node == ipiv {
                     continue;
                 }
-                if pj != UNSET && pj < j {
+                if pj != UNSET && pj < k {
                     if xv != T::ZERO {
                         lu.u_rowidx.push(pj);
                         lu.u_vals.push(xv);
                     }
                 } else if xv != T::ZERO {
-                    lu.l_rowidx.push(node); // original index; remapped below
+                    lu.l_rowidx.push(node); // original index; remapped in the solves
                     lu.l_vals.push(xv / pivot);
                 }
             }
             lu.u_colptr.push(lu.u_rowidx.len());
             lu.l_colptr.push(lu.l_rowidx.len());
         }
+        rfsim_telemetry::counter_add("lu.sparse.fill_nnz", lu.factor_nnz() as u64);
         Ok(lu)
     }
 
@@ -553,7 +603,7 @@ impl<T: Scalar> SparseLu<T> {
                 z[r] -= self.l_vals[k] * zj;
             }
         }
-        // Backward solve U·x = y, U stored by columns with separate diagonal.
+        // Backward solve U·y = z, U stored by columns with separate diagonal.
         for j in (0..self.n).rev() {
             z[j] /= self.u_diag[j];
             let xj = z[j];
@@ -564,8 +614,488 @@ impl<T: Scalar> SparseLu<T> {
                 z[self.u_rowidx[k]] -= self.u_vals[k] * xj;
             }
         }
-        Ok(z)
+        // x = Q·y.
+        let mut x = vec![T::ZERO; self.n];
+        for (&col, &y) in self.q.iter().zip(&z) {
+            x[col] = y;
+        }
+        Ok(x)
     }
+
+    /// Solves `Aᵀ·x = b` with the same factors: `Aᵀ = Q·Uᵀ·Lᵀ·P`. The
+    /// transpose is the plain one (no conjugation for complex `T`), as in
+    /// [`Csr::transpose`].
+    ///
+    /// # Errors
+    /// Returns [`Error::DimensionMismatch`] for a wrong-sized `b`.
+    pub fn solve_transposed(&self, b: &[T]) -> Result<Vec<T>> {
+        if b.len() != self.n {
+            return Err(Error::DimensionMismatch { expected: self.n, found: b.len() });
+        }
+        // z = Qᵀ·b.
+        let mut z: Vec<T> = self.q.iter().map(|&col| b[col]).collect();
+        // Forward solve Uᵀ·w = z: column j of U is row j of Uᵀ.
+        for j in 0..self.n {
+            let mut acc = z[j];
+            for k in self.u_colptr[j]..self.u_colptr[j + 1] {
+                acc -= self.u_vals[k] * z[self.u_rowidx[k]];
+            }
+            z[j] = acc / self.u_diag[j];
+        }
+        // Backward solve Lᵀ·v = w: column j of L is row j of Lᵀ.
+        for j in (0..self.n).rev() {
+            let mut acc = z[j];
+            for k in self.l_colptr[j]..self.l_colptr[j + 1] {
+                acc -= self.l_vals[k] * z[self.pinv[self.l_rowidx[k]]];
+            }
+            z[j] = acc;
+        }
+        // x = Pᵀ·v.
+        Ok(self.pinv.iter().map(|&p| z[p]).collect())
+    }
+}
+
+/// Encodes node `i` as a value ≤ −2 (−1 stays free for "none"); its own
+/// inverse.
+const fn flip(i: isize) -> isize {
+    -i - 2
+}
+
+/// Approximate minimum degree order of `A + Aᵀ` for a square matrix
+/// given by the compressed rows of `A` (`a_ptr`, `a_idx`) and of `Aᵀ`
+/// (`t_ptr`, `t_idx`), each row sorted: `order[k]` is the node
+/// eliminated `k`-th.
+///
+/// Elimination runs on the quotient graph, with element absorption,
+/// mass elimination, supervariables (indistinguishable nodes found by
+/// hashing), approximate external degrees, and nodes with more than
+/// `max(16, 10·√n)` neighbours ordered last; the result is postordered
+/// along the assembly tree (Amestoy, Davis & Duff, SIAM J. Matrix Anal.
+/// Appl. 1996; Davis, *Direct Methods for Sparse Linear Systems*, SIAM
+/// 2006, §7.1).
+/// All state lives in one workspace allocation.
+fn amd_order(a_ptr: &[usize], a_idx: &[usize], t_ptr: &[usize], t_idx: &[usize]) -> Vec<usize> {
+    let n = a_ptr.len() - 1;
+    let ni = n as isize;
+    let m = n + 1;
+    let dense = ((10.0 * (n as f64).sqrt()) as isize).max(16).min(ni - 2);
+    // A + Aᵀ has at most 2·nnz(A) off-diagonal entries; the elbow room
+    // behind them holds the new elements before garbage collection.
+    let bound = 2 * a_idx.len();
+    let nzmax = bound + bound / 5 + 2 * n;
+    let mut ws = vec![0isize; 10 * m + nzmax];
+    // Per node or element (index n is the element the dense nodes join):
+    // `cp`/`len` its list in `ci` (elements first for a node), or once
+    // absorbed, `cp` = flip(parent); `nv` supervariable size, negated
+    // while in the new element; `elen` element count (−1 dead node, −2
+    // element); `degree` approximate degree; `head`/`next`/`last` the
+    // degree lists, `hhead` the hash buckets, and `w` set-difference
+    // marks. `last` and `w` end as the postorder and its stack.
+    let (cp, rest) = ws.split_at_mut(m);
+    let (len, rest) = rest.split_at_mut(m);
+    let (nv, rest) = rest.split_at_mut(m);
+    let (next, rest) = rest.split_at_mut(m);
+    let (head, rest) = rest.split_at_mut(m);
+    let (elen, rest) = rest.split_at_mut(m);
+    let (degree, rest) = rest.split_at_mut(m);
+    let (w, rest) = rest.split_at_mut(m);
+    let (hhead, rest) = rest.split_at_mut(m);
+    let (last, ci) = rest.split_at_mut(m);
+
+    // --- Quotient graph: the pattern of A + Aᵀ without its diagonal,
+    // merged from the sorted rows of A and Aᵀ.
+    let mut cnz = 0usize;
+    for i in 0..n {
+        cp[i] = cnz as isize;
+        let (mut p, pe) = (a_ptr[i], a_ptr[i + 1]);
+        let (mut q, qe) = (t_ptr[i], t_ptr[i + 1]);
+        loop {
+            let j = match (p < pe, q < qe) {
+                (true, true) if a_idx[p] <= t_idx[q] => {
+                    if a_idx[p] == t_idx[q] {
+                        q += 1;
+                    }
+                    p += 1;
+                    a_idx[p - 1]
+                }
+                (_, true) => {
+                    q += 1;
+                    t_idx[q - 1]
+                }
+                (true, false) => {
+                    p += 1;
+                    a_idx[p - 1]
+                }
+                (false, false) => break,
+            };
+            if j != i {
+                ci[cnz] = j as isize;
+                cnz += 1;
+            }
+        }
+        len[i] = cnz as isize - cp[i];
+    }
+    for i in 0..m {
+        head[i] = -1;
+        last[i] = -1;
+        next[i] = -1;
+        hhead[i] = -1;
+        nv[i] = 1;
+        w[i] = 1;
+        elen[i] = 0;
+        degree[i] = len[i];
+    }
+    let mut mark = wclear(0, 0, w);
+    elen[n] = -2; // n is the dead element that absorbs dense nodes
+    cp[n] = -1; // and a root of the assembly tree
+    w[n] = 0;
+    let mut nel = 0isize;
+    for i in 0..n {
+        let d = degree[i];
+        if d == 0 {
+            // Empty node: a dead element and a root.
+            elen[i] = -2;
+            nel += 1;
+            cp[i] = -1;
+            w[i] = 0;
+        } else if d > dense {
+            // Dense node: absorbed into element n, ordered last.
+            nv[i] = 0;
+            elen[i] = -1;
+            nel += 1;
+            cp[i] = flip(ni);
+            nv[n] += 1;
+        } else {
+            let d = d as usize;
+            if head[d] != -1 {
+                last[head[d] as usize] = i as isize;
+            }
+            next[i] = head[d];
+            head[d] = i as isize;
+        }
+    }
+
+    let mut mindeg = 0usize;
+    let mut lemax = 0isize;
+    while nel < ni {
+        // --- Select a node of minimum approximate degree. ---
+        let k = loop {
+            if head[mindeg] != -1 {
+                break head[mindeg] as usize;
+            }
+            mindeg += 1;
+        };
+        if next[k] != -1 {
+            last[next[k] as usize] = -1;
+        }
+        head[mindeg] = next[k];
+        let elenk = elen[k];
+        let mut nvk = nv[k];
+        nel += nvk;
+
+        // --- Garbage collection. ---
+        if elenk > 0 && cnz + mindeg >= nzmax {
+            for j in 0..n {
+                let p = cp[j];
+                if p >= 0 {
+                    // Tag the object's first entry with its owner.
+                    cp[j] = ci[p as usize];
+                    ci[p as usize] = flip(j as isize);
+                }
+            }
+            let (mut q, mut p) = (0usize, 0usize);
+            while p < cnz {
+                let j = flip(ci[p]);
+                p += 1;
+                if j >= 0 {
+                    let j = j as usize;
+                    ci[q] = cp[j];
+                    cp[j] = q as isize;
+                    q += 1;
+                    for _ in 1..len[j] {
+                        ci[q] = ci[p];
+                        q += 1;
+                        p += 1;
+                    }
+                }
+            }
+            cnz = q;
+        }
+
+        // --- Construct the new element Lk from k's elements and nodes. ---
+        let mut dk = 0isize;
+        nv[k] = -nvk; // flags k as in Lk
+        let mut p = cp[k] as usize;
+        let pk1 = if elenk == 0 { p } else { cnz }; // in place if no elements
+        let mut pk2 = pk1;
+        for k1 in 1..=elenk + 1 {
+            let (e, mut pj, ln) = if k1 > elenk {
+                (k, p, len[k] - elenk)
+            } else {
+                let e = ci[p] as usize;
+                p += 1;
+                (e, cp[e] as usize, len[e])
+            };
+            for _ in 0..ln {
+                let i = ci[pj] as usize;
+                pj += 1;
+                let nvi = nv[i];
+                if nvi <= 0 {
+                    continue; // dead, or already in Lk
+                }
+                dk += nvi;
+                nv[i] = -nvi;
+                ci[pk2] = i as isize;
+                pk2 += 1;
+                // Remove i from its degree list.
+                if next[i] != -1 {
+                    last[next[i] as usize] = last[i];
+                }
+                if last[i] != -1 {
+                    next[last[i] as usize] = next[i];
+                } else {
+                    head[degree[i] as usize] = next[i];
+                }
+            }
+            if e != k {
+                cp[e] = flip(k as isize); // absorb e into k
+                w[e] = 0;
+            }
+        }
+        if elenk != 0 {
+            cnz = pk2;
+        }
+        degree[k] = dk;
+        cp[k] = pk1 as isize;
+        len[k] = (pk2 - pk1) as isize;
+        elen[k] = -2;
+
+        // --- Set differences |Le \ Lk| for every element e next to Lk. ---
+        mark = wclear(mark, lemax, w);
+        for &i in &ci[pk1..pk2] {
+            let i = i as usize;
+            let eln = elen[i];
+            if eln <= 0 {
+                continue;
+            }
+            let nvi = -nv[i];
+            let wnvi = mark - nvi;
+            let p0 = cp[i] as usize;
+            for &e in &ci[p0..p0 + eln as usize] {
+                let e = e as usize;
+                if w[e] >= mark {
+                    w[e] -= nvi;
+                } else if w[e] != 0 {
+                    w[e] = degree[e] + wnvi; // first time e is seen
+                }
+            }
+        }
+
+        // --- Degree update, element absorption, mass elimination. ---
+        for pk in pk1..pk2 {
+            let i = ci[pk] as usize;
+            let p1 = cp[i] as usize;
+            let p2 = p1 + elen[i] as usize;
+            let mut pn = p1;
+            let mut h = 0usize;
+            let mut d = 0isize;
+            for p in p1..p2 {
+                let e = ci[p] as usize;
+                if w[e] != 0 {
+                    let dext = w[e] - mark;
+                    if dext > 0 {
+                        d += dext;
+                        ci[pn] = e as isize;
+                        pn += 1;
+                        h += e;
+                    } else {
+                        cp[e] = flip(k as isize); // aggressive absorption
+                        w[e] = 0;
+                    }
+                }
+            }
+            elen[i] = (pn - p1 + 1) as isize;
+            let p3 = pn;
+            let p4 = p1 + len[i] as usize;
+            for p in p2..p4 {
+                let j = ci[p] as usize;
+                let nvj = nv[j];
+                if nvj <= 0 {
+                    continue; // dead, or in Lk
+                }
+                d += nvj;
+                ci[pn] = j as isize;
+                pn += 1;
+                h += j;
+            }
+            if d == 0 {
+                // Mass elimination: i is indistinguishable from k.
+                cp[i] = flip(k as isize);
+                let nvi = -nv[i];
+                dk -= nvi;
+                nvk += nvi;
+                nel += nvi;
+                nv[i] = 0;
+                elen[i] = -1;
+            } else {
+                degree[i] = degree[i].min(d);
+                // k becomes i's first element.
+                ci[pn] = ci[p3];
+                ci[p3] = ci[p1];
+                ci[p1] = k as isize;
+                len[i] = (pn - p1 + 1) as isize;
+                let h = h % n;
+                next[i] = hhead[h];
+                hhead[h] = i as isize;
+                last[i] = h as isize;
+            }
+        }
+        degree[k] = dk;
+        lemax = lemax.max(dk);
+        mark = wclear(mark + lemax, lemax, w);
+
+        // --- Supervariables: merge nodes of Lk with identical lists. ---
+        for pk in pk1..pk2 {
+            let i0 = ci[pk] as usize;
+            if nv[i0] >= 0 {
+                continue;
+            }
+            let h = last[i0] as usize;
+            let mut i = hhead[h];
+            hhead[h] = -1;
+            while i != -1 && next[i as usize] != -1 {
+                let iu = i as usize;
+                let (ln, eln) = (len[iu], elen[iu]);
+                let pi = cp[iu] as usize;
+                for &x in &ci[pi + 1..pi + ln as usize] {
+                    w[x as usize] = mark;
+                }
+                let mut jlast = iu;
+                let mut j = next[iu];
+                while j != -1 {
+                    let ju = j as usize;
+                    let pj = cp[ju] as usize;
+                    let same = len[ju] == ln
+                        && elen[ju] == eln
+                        && ci[pj + 1..pj + ln as usize].iter().all(|&x| w[x as usize] == mark);
+                    j = next[ju];
+                    if same {
+                        cp[ju] = flip(i); // absorb j into i
+                        nv[iu] += nv[ju];
+                        nv[ju] = 0;
+                        elen[ju] = -1;
+                        next[jlast] = j;
+                    } else {
+                        jlast = ju;
+                    }
+                }
+                i = next[iu];
+                mark += 1;
+            }
+        }
+
+        // --- Finalize Lk and put its nodes back in the degree lists. ---
+        let mut p = pk1;
+        for pk in pk1..pk2 {
+            let i = ci[pk] as usize;
+            let nvi = -nv[i];
+            if nvi <= 0 {
+                continue;
+            }
+            nv[i] = nvi;
+            let d = (degree[i] + dk - nvi).min(ni - nel - nvi);
+            let du = d as usize;
+            if head[du] != -1 {
+                last[head[du] as usize] = i as isize;
+            }
+            next[i] = head[du];
+            last[i] = -1;
+            head[du] = i as isize;
+            mindeg = mindeg.min(du);
+            degree[i] = d;
+            ci[p] = i as isize;
+            p += 1;
+        }
+        nv[k] = nvk;
+        len[k] = (p - pk1) as isize;
+        if len[k] == 0 {
+            cp[k] = -1; // a root of the assembly tree
+            w[k] = 0;
+        }
+        if elenk != 0 {
+            cnz = p;
+        }
+    }
+
+    // --- Postorder the assembly tree (node n, with the dense nodes under
+    // it, is the last root, so it lands in position n).
+    for c in &mut cp[..n] {
+        *c = flip(*c);
+    }
+    head.fill(-1);
+    for j in (0..m).rev() {
+        if nv[j] <= 0 {
+            // An absorbed node: a child of its parent element.
+            let parent = cp[j] as usize;
+            next[j] = head[parent];
+            head[parent] = j as isize;
+        }
+    }
+    for e in (0..m).rev() {
+        if nv[e] > 0 && cp[e] != -1 {
+            let parent = cp[e] as usize;
+            next[e] = head[parent];
+            head[parent] = e as isize;
+        }
+    }
+    let mut k = 0;
+    for i in 0..m {
+        if cp[i] == -1 {
+            k = tdfs(i, k, head, next, last, w);
+        }
+    }
+    last[..n].iter().map(|&v| v as usize).collect()
+}
+
+/// Resets the marks `w` when `mark` is about to run out of range;
+/// afterwards every live entry of `w` is below the returned mark.
+fn wclear(mark: isize, lemax: isize, w: &mut [isize]) -> isize {
+    if mark >= 2 && mark.checked_add(lemax).is_some() {
+        return mark;
+    }
+    for x in w.iter_mut().filter(|x| **x != 0) {
+        *x = 1;
+    }
+    2
+}
+
+/// Depth-first postorder of the tree rooted at `j` (children listed by
+/// `head`/`next`, consumed), written to `post` from position `k`; returns
+/// the next free position.
+fn tdfs(
+    j: usize,
+    mut k: usize,
+    head: &mut [isize],
+    next: &[isize],
+    post: &mut [isize],
+    stack: &mut [isize],
+) -> usize {
+    stack[0] = j as isize;
+    let mut top = 1;
+    while top > 0 {
+        let p = stack[top - 1] as usize;
+        let i = head[p];
+        if i == -1 {
+            top -= 1;
+            post[k] = p as isize;
+            k += 1;
+        } else {
+            head[p] = next[i as usize];
+            stack[top] = i;
+            top += 1;
+        }
+    }
+    k
 }
 
 #[cfg(test)]
@@ -697,6 +1227,78 @@ mod tests {
         let xd = a.to_dense().solve(&b).unwrap();
         for (s, d) in xs.iter().zip(&xd) {
             assert!((s - d).abs() < 1e-9, "sparse {s} dense {d}");
+        }
+    }
+
+    #[test]
+    fn solve_transposed_matches_transpose_factorization() {
+        // Complex, with zero diagonals that force off-diagonal pivots.
+        let n = 6;
+        let mut t = Triplets::new(n, n);
+        for i in 0..n {
+            let f = i as f64;
+            t.push(i, (i + 1) % n, Complex::new(3.0 + f, 1.0 - f));
+            t.push(i, (i + 3) % n, Complex::new(0.5, 0.25 * f));
+        }
+        let a = t.to_csr();
+        let lu = a.lu().unwrap();
+        let b: Vec<Complex> = (0..n).map(|i| Complex::new(1.0 + i as f64, -0.5)).collect();
+        let x = lu.solve_transposed(&b).unwrap();
+        let xref = a.transpose().lu().unwrap().solve(&b).unwrap();
+        for (xi, ri) in x.iter().zip(&xref) {
+            assert!((*xi - *ri).abs() < 1e-12, "{xi:?} vs {ri:?}");
+        }
+        let r = a.matvec_transposed(&x);
+        for (ri, bi) in r.iter().zip(&b) {
+            assert!((*ri - *bi).abs() < 1e-12);
+        }
+        assert!(matches!(lu.solve_transposed(&b[1..]), Err(Error::DimensionMismatch { .. })));
+    }
+
+    /// The column order [`SparseLu::new`] factors `a` in.
+    fn column_order(a: &Csr<f64>) -> Vec<usize> {
+        let at = a.transpose();
+        amd_order(&a.row_ptr, &a.col_idx, &at.row_ptr, &at.col_idx)
+    }
+
+    #[test]
+    fn column_order_is_a_permutation() {
+        let from = |n: usize, entries: &[(usize, usize)]| {
+            let mut t = Triplets::new(n, n);
+            for &(i, j) in entries {
+                t.push(i, j, 1.0 + (i * n + j) as f64);
+            }
+            t.to_csr()
+        };
+        let n = 300;
+        // Row 0 and column 0 are full: degree 299, above the dense
+        // threshold 10·√300 ≈ 173.
+        let mut arrow: Vec<(usize, usize)> = (0..n).map(|i| (i, i)).collect();
+        arrow.extend((1..n).flat_map(|i| [(0, i), (i, 0)]));
+        // Two decoupled tridiagonal blocks and an isolated node.
+        let mut blocks: Vec<(usize, usize)> = (0..9).map(|i| (i, i)).collect();
+        blocks.extend((0..3).flat_map(|i| [(i, i + 1), (i + 1, i)]));
+        blocks.extend((5..8).flat_map(|i| [(i, i + 1), (i + 1, i)]));
+        let cases = [
+            ("n = 0", from(0, &[])),
+            ("n = 1", from(1, &[(0, 0)])),
+            ("zero diagonal", from(4, &[(0, 1), (1, 0), (2, 3), (3, 2), (1, 3)])),
+            ("empty row", from(5, &[(0, 0), (1, 1), (1, 2), (3, 3), (4, 4), (4, 0), (3, 2)])),
+            ("dense row", from(n, &arrow)),
+            ("disconnected blocks", from(9, &blocks)),
+        ];
+        for (name, a) in &cases {
+            let mut q = column_order(a);
+            q.sort_unstable();
+            assert!(q.iter().copied().eq(0..a.rows()), "{name}: {q:?}");
+        }
+        // The arrow matrix solves correctly with its dense node last.
+        let a = &cases[4].1;
+        assert_eq!(column_order(a).last(), Some(&0));
+        let xref: Vec<f64> = (0..n).map(|i| (i as f64 * 0.1).sin()).collect();
+        let x = a.solve(&a.matvec(&xref)).unwrap();
+        for (xi, ri) in x.iter().zip(&xref) {
+            assert!((xi - ri).abs() < 1e-9);
         }
     }
 

@@ -5,7 +5,7 @@ use rfsim_numerics::complex::{cdot, cnorm2};
 use rfsim_numerics::dense::Mat;
 use rfsim_numerics::fft::{dft, fft_pow2, idft, ifft_pow2};
 use rfsim_numerics::krylov::{gmres, IdentityPrecond, KrylovOptions};
-use rfsim_numerics::sparse::Triplets;
+use rfsim_numerics::sparse::{Csr, Triplets};
 use rfsim_numerics::svd::Svd;
 use rfsim_numerics::Complex;
 
@@ -26,6 +26,37 @@ fn dd_matrix(n: usize) -> impl Strategy<Value = Mat<f64>> {
             m[(i, i)] = n as f64 + 1.0 + v[i * n + i];
         }
         m
+    })
+}
+
+/// A nonsingular `n × n` sparse matrix with an all-zero diagonal: the
+/// rows of a strictly diagonally dominant matrix shifted cyclically by
+/// `shift` (in `1..n`), so every column's dominant entry sits off the
+/// diagonal.
+fn zero_diagonal_matrix() -> impl Strategy<Value = Csr<f64>> {
+    (2usize..30).prop_flat_map(|n| {
+        (
+            Just(n),
+            1..n,
+            proptest::collection::vec(1.0f64..2.0, n),
+            proptest::collection::vec((0..n, 0..n, -1.0f64..1.0), 0..3 * n),
+        )
+            .prop_map(|(n, shift, mut diag, offdiag)| {
+                let mut t = Triplets::new(n, n);
+                // Row i of the dominant matrix becomes row (i − shift) mod n;
+                // entries that would land on the diagonal are dropped.
+                let row_of = |i: usize| (i + n - shift) % n;
+                for &(i, j, v) in &offdiag {
+                    if i != j && row_of(i) != j {
+                        t.push(row_of(i), j, v);
+                        diag[i] += v.abs();
+                    }
+                }
+                for (j, d) in diag.iter().enumerate() {
+                    t.push(row_of(j), j, *d);
+                }
+                t.to_csr()
+            })
     })
 }
 
@@ -173,6 +204,23 @@ proptest! {
         let yd = a.to_dense().matvec(&x);
         for (s, d) in ys.iter().zip(&yd) {
             prop_assert!((s - d).abs() < 1e-10);
+        }
+    }
+
+    #[test]
+    fn ordered_sparse_lu_matches_dense(a in zero_diagonal_matrix()) {
+        let n = a.rows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
+        let lu = a.lu().unwrap();
+        let xs = lu.solve(&b).unwrap();
+        let xd = a.to_dense().solve(&b).unwrap();
+        for (s, d) in xs.iter().zip(&xd) {
+            prop_assert!((s - d).abs() < 1e-9 * (1.0 + d.abs()), "solve {s} vs dense {d}");
+        }
+        let xt = lu.solve_transposed(&b).unwrap();
+        let xr = a.transpose().lu().unwrap().solve(&b).unwrap();
+        for (t, r) in xt.iter().zip(&xr) {
+            prop_assert!((t - r).abs() < 1e-9 * (1.0 + r.abs()), "transposed {t} vs {r}");
         }
     }
 

@@ -42,18 +42,16 @@ impl DescriptorSystem {
 
     /// Krylov ingredients at expansion point `s0`:
     /// `A = −(G + s0·C)⁻¹·C`, `r = (G + s0·C)⁻¹·b` — returned as the
-    /// factored matrix plus `r` so callers apply `A` matrix-free. The
-    /// transposed factorization (for `Aᵀ` in two-sided Lanczos) is also
-    /// prepared.
+    /// factored matrix plus `r` so callers apply `A` matrix-free. The same
+    /// factors apply `Aᵀ` (for two-sided Lanczos).
     ///
     /// # Errors
     /// Propagates factorization failures.
     pub fn krylov_setup(&self, s0: f64) -> Result<(KrylovOps<'_>, Vec<f64>)> {
         let shifted = self.g.add_scaled(1.0, &self.c, s0);
         let lu = shifted.lu()?;
-        let lu_t = shifted.transpose().lu()?;
         let r = lu.solve(&self.b)?;
-        Ok((KrylovOps { lu, lu_t, c: &self.c }, r))
+        Ok((KrylovOps { lu, c: &self.c }, r))
     }
 
     /// Moments `m_j = lᵀ·Aʲ·r` for `j = 0..count` about `s0`.
@@ -75,7 +73,6 @@ impl DescriptorSystem {
 /// The matrix-free operator `A·v = −(G + s0·C)⁻¹·(C·v)` and its transpose.
 pub struct KrylovOps<'a> {
     lu: rfsim_numerics::sparse::SparseLu<f64>,
-    lu_t: rfsim_numerics::sparse::SparseLu<f64>,
     c: &'a Csr<f64>,
 }
 
@@ -98,7 +95,7 @@ impl KrylovOps<'_> {
     /// # Errors
     /// Propagates solve failures.
     pub fn apply_transposed(&self, w: &[f64]) -> Result<Vec<f64>> {
-        let z = self.lu_t.solve(w)?;
+        let z = self.lu.solve_transposed(w)?;
         let mut out = self.c.matvec_transposed(&z);
         for e in &mut out {
             *e = -*e;

@@ -139,6 +139,7 @@ mod tests {
     fn record_and_sort() {
         // Direct unit check of the buffer; mode-driven integration lives
         // in tests/chrome_trace.rs.
+        let _lock = crate::test_lock();
         reset();
         let e = epoch();
         record(

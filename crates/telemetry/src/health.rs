@@ -214,6 +214,7 @@ mod tests {
     use super::*;
 
     fn with_telemetry<T>(f: impl FnOnce() -> T) -> T {
+        let _lock = crate::test_lock();
         crate::set_mode(crate::Mode::Report);
         crate::reset();
         let out = f();
@@ -224,6 +225,7 @@ mod tests {
 
     #[test]
     fn inactive_monitor_records_nothing() {
+        let _lock = crate::test_lock();
         crate::set_mode(crate::Mode::Off);
         crate::reset();
         let mut m = ResidualMonitor::new("test.off");

@@ -516,6 +516,15 @@ pub fn flush(default_json_path: Option<&str>) -> std::io::Result<Option<std::pat
     }
 }
 
+/// Serializes the unit tests that set the mode or read or reset the
+/// recorded state: both are process-global, and libtest runs tests on
+/// parallel threads. Survives a test that panicked while holding it.
+#[cfg(test)]
+fn test_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: Mutex<()> = Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -125,6 +125,7 @@ mod tests {
 
     #[test]
     fn inert_guard_when_off() {
+        let _lock = crate::test_lock();
         crate::set_mode(crate::Mode::Off);
         let g = span("should-not-record");
         drop(g);
