@@ -50,6 +50,8 @@ fn run(h: &mut Harness) -> Result<(), String> {
             Ok::<_, String>((n_mom, cond_mom, c_mom, t_asm, t_solve))
         })?;
 
+    let c12 = -c_mom[(0, 1)];
+
     // --- Differential class: FD volume discretization of the same box.
     // Domain 3× the plate extent; grid chosen so the plates resolve.
     let (sol, cap_fd, cond_fd, t_fd) = h.sweep_point("fd", &[("grid", 24.0)], |pm| {
@@ -80,6 +82,7 @@ fn run(h: &mut Harness) -> Result<(), String> {
             cond2_estimate(&sol.matrix, 60).map_err(|e| format!("FD conditioning: {e}"))?;
         pm.metric("unknowns", sol.unknowns as f64);
         pm.metric("cond2", cond_fd);
+        pm.metric("c_ratio", cap_fd / c12);
         Ok::<_, String>((sol, cap_fd, cond_fd, t_fd))
     })?;
 
@@ -105,7 +108,6 @@ fn run(h: &mut Harness) -> Result<(), String> {
     );
 
     heading("cross-check: both classes extract the same capacitance");
-    let c12 = -c_mom[(0, 1)];
     println!(
         "MoM plate-to-plate C: {:.3e} F ({:.3} s assemble + {:.3} s solve)",
         c12, t_asm, t_solve

@@ -19,6 +19,10 @@
 //! ```
 //!
 //! Values accept the usual engineering suffixes (`f p n u m k meg g t`).
+//! Parsing is strict: a malformed value, a value its device cannot take
+//! (R/C/L or diode `IS`/`N` not positive), a parameter or flag outside
+//! its card's set, a stray token, or any dot-card other than `.end` is a
+//! line-numbered [`Error::Parse`], never a silent default or a panic.
 
 use crate::devices::{
     Bjt, Capacitor, Cccs, Ccvs, Diode, ISource, Inductor, Mosfet, Resistor, VSource, Vccs, Vcvs,
@@ -54,83 +58,106 @@ pub fn parse_value(tok: &str) -> std::result::Result<f64, String> {
     } else {
         (1.0, t.as_str())
     };
-    stripped.parse::<f64>().map(|v| v * mult).map_err(|_| format!("cannot parse value `{tok}`"))
+    match stripped.parse::<f64>().map(|v| v * mult) {
+        Ok(v) if v.is_finite() => Ok(v),
+        _ => Err(format!("cannot parse value `{tok}`")),
+    }
 }
 
-/// Splits `KEY=VAL` parameter tokens into a lookup, ignoring bare flags
-/// which are returned separately.
-fn split_params(tokens: &[&str]) -> (Vec<(String, f64)>, Vec<String>) {
-    let mut params = Vec::new();
-    let mut flags = Vec::new();
+/// A card's `KEY=VAL` parameters and bare flags, lowercased.
+struct Params {
+    values: Vec<(String, f64)>,
+    flags: Vec<String>,
+}
+
+impl Params {
+    fn get(&self, key: &str, default: f64) -> f64 {
+        self.values.iter().find(|(k, _)| k == key).map_or(default, |(_, v)| *v)
+    }
+
+    fn has(&self, flag: &str) -> bool {
+        self.flags.iter().any(|f| f == flag)
+    }
+}
+
+/// Splits `KEY=VAL` parameter tokens and bare flags, accepting only the
+/// card's `keys` (each at most once) and `flags`, all lowercase.
+///
+/// # Errors
+/// Returns [`Error::Parse`] for an unparseable value, a repeated key, or
+/// a key or flag outside the card's set.
+fn split_params(tokens: &[&str], keys: &[&str], flags: &[&str], line: usize) -> Result<Params> {
+    let err = |message: String| Error::Parse { line, message };
+    let mut params = Params { values: Vec::new(), flags: Vec::new() };
     for t in tokens {
         if let Some((k, v)) = t.split_once('=') {
-            if let Ok(val) = parse_value(v) {
-                params.push((k.to_ascii_lowercase(), val));
+            let key = k.to_ascii_lowercase();
+            if !keys.contains(&key.as_str()) {
+                return Err(err(format!("unknown parameter `{k}` (expected {})", keys.join(", "))));
             }
+            if params.values.iter().any(|(p, _)| *p == key) {
+                return Err(err(format!("parameter `{k}` given twice")));
+            }
+            params.values.push((key, parse_value(v).map_err(err)?));
         } else {
-            flags.push(t.to_ascii_lowercase());
+            let flag = t.to_ascii_lowercase();
+            if !flags.contains(&flag.as_str()) {
+                return Err(err(format!("unknown flag `{t}`")));
+            }
+            params.flags.push(flag);
         }
     }
-    (params, flags)
+    Ok(params)
 }
 
-fn get_param(params: &[(String, f64)], key: &str, default: f64) -> f64 {
-    params.iter().find(|(k, _)| k == key).map_or(default, |(_, v)| *v)
-}
-
-/// Parses a source specification (the tokens after the two node names).
-fn parse_stimulus(tokens: &[&str], line: usize) -> Result<Stimulus> {
-    let joined = tokens.join(" ");
-    let upper = joined.to_ascii_uppercase();
-    let args_of = |s: &str| -> Result<Vec<f64>> {
-        let open = s.find('(').ok_or(Error::Parse { line, message: "missing (".into() })?;
-        let close = s.rfind(')').ok_or(Error::Parse { line, message: "missing )".into() })?;
-        s[open + 1..close]
-            .split_whitespace()
-            .map(|t| parse_value(t).map_err(|message| Error::Parse { line, message }))
-            .collect()
-    };
-    if upper.starts_with("DC") {
-        let v = tokens.get(1).ok_or(Error::Parse { line, message: "DC needs a value".into() })?;
-        let v = parse_value(v).map_err(|message| Error::Parse { line, message })?;
-        Ok(Stimulus::Dc(v))
-    } else if upper.starts_with("SINFAST") {
-        let a = args_of(&joined)?;
-        if a.len() != 3 {
-            return Err(Error::Parse { line, message: "SINFAST(off amp freq)".into() });
-        }
-        Ok(Stimulus::sine_fast(a[0], a[1], a[2]))
-    } else if upper.starts_with("SIN") {
-        let a = args_of(&joined)?;
-        if a.len() != 3 {
-            return Err(Error::Parse { line, message: "SIN(off amp freq)".into() });
-        }
-        Ok(Stimulus::sine(a[0], a[1], a[2]))
-    } else if upper.starts_with("SQUARE") {
-        let a = args_of(&joined)?;
-        if a.len() != 2 {
-            return Err(Error::Parse { line, message: "SQUARE(amp freq)".into() });
-        }
-        Ok(Stimulus::square_fast(a[0], a[1]))
-    } else if upper.starts_with("PULSE") {
-        let a = args_of(&joined)?;
-        if a.len() != 7 {
-            return Err(Error::Parse { line, message: "PULSE(lo hi td tr tf pw per)".into() });
-        }
-        Ok(Stimulus::Pulse {
-            low: a[0],
-            high: a[1],
-            delay: a[2],
-            rise: a[3],
-            fall: a[4],
-            width: a[5],
-            period: a[6],
-            scale: TimeScale::Slow,
-        })
+/// Checks that a fixed-form card has exactly `n` tokens.
+fn expect_tokens(tokens: &[&str], n: usize, usage: &str, line: usize) -> Result<()> {
+    let message = if tokens.len() < n {
+        format!("need: {usage}")
+    } else if let Some(extra) = tokens.get(n) {
+        format!("unexpected `{extra}` after {usage}")
     } else {
-        // Bare value → DC.
-        let v = parse_value(tokens[0]).map_err(|message| Error::Parse { line, message })?;
-        Ok(Stimulus::Dc(v))
+        return Ok(());
+    };
+    Err(Error::Parse { line, message })
+}
+
+/// Parses a source specification (the tokens after the two node names):
+/// `DC <v>`, a bare `<v>`, or one `KIND(<args>)` waveform.
+fn parse_stimulus(tokens: &[&str], line: usize) -> Result<Stimulus> {
+    let err = |message: &str| Error::Parse { line, message: message.into() };
+    let value = |t: &str| parse_value(t).map_err(|message| Error::Parse { line, message });
+    match tokens {
+        [] => return Err(err("source needs a value")),
+        [dc, v] if dc.eq_ignore_ascii_case("DC") => return Ok(Stimulus::Dc(value(v)?)),
+        [dc, ..] if dc.eq_ignore_ascii_case("DC") => return Err(err("DC needs one value")),
+        [v] if !v.contains('(') => return Ok(Stimulus::Dc(value(v)?)),
+        _ => {}
+    }
+    let joined = tokens.join(" ");
+    let open = joined.find('(').ok_or_else(|| err("expected DC <v>, <v> or KIND(args)"))?;
+    let body = joined[open + 1..].strip_suffix(')').ok_or_else(|| err("missing ) at end"))?;
+    let a: Vec<f64> = body.split_whitespace().map(value).collect::<Result<_>>()?;
+    let kind = joined[..open].trim().to_ascii_uppercase();
+    match (kind.as_str(), a.as_slice()) {
+        ("SINFAST", &[off, amp, freq]) => Ok(Stimulus::sine_fast(off, amp, freq)),
+        ("SINFAST", _) => Err(err("SINFAST(off amp freq)")),
+        ("SIN", &[off, amp, freq]) => Ok(Stimulus::sine(off, amp, freq)),
+        ("SIN", _) => Err(err("SIN(off amp freq)")),
+        ("SQUARE", &[amp, freq]) => Ok(Stimulus::square_fast(amp, freq)),
+        ("SQUARE", _) => Err(err("SQUARE(amp freq)")),
+        ("PULSE", &[low, high, delay, rise, fall, width, period]) => Ok(Stimulus::Pulse {
+            low,
+            high,
+            delay,
+            rise,
+            fall,
+            width,
+            period,
+            scale: TimeScale::Slow,
+        }),
+        ("PULSE", _) => Err(err("PULSE(lo hi td tr tf pw per)")),
+        _ => Err(Error::Parse { line, message: format!("unknown waveform `{kind}`") }),
     }
 }
 
@@ -162,14 +189,17 @@ pub fn parse_netlist(text: &str) -> Result<Circuit> {
         if trimmed.is_empty() || trimmed.starts_with('*') || trimmed.starts_with(';') {
             continue;
         }
-        if trimmed.to_ascii_lowercase().starts_with(".end") {
-            break;
-        }
-        if trimmed.starts_with('.') {
-            // Other dot-cards ignored (analyses are driven from code).
-            continue;
-        }
         let tokens: Vec<&str> = trimmed.split_whitespace().collect();
+        if tokens[0].starts_with('.') {
+            if tokens[0].eq_ignore_ascii_case(".end") {
+                break;
+            }
+            // Analyses are driven from code, so no other card applies.
+            return Err(Error::Parse {
+                line,
+                message: format!("unsupported dot-card `{}`", tokens[0]),
+            });
+        }
         if tokens.len() < 3 {
             return Err(Error::Parse { line, message: "too few tokens".into() });
         }
@@ -181,12 +211,13 @@ pub fn parse_netlist(text: &str) -> Result<Circuit> {
             .ok_or(Error::Parse { line, message: "empty device name".into() })?;
         match kind {
             'R' | 'C' | 'L' => {
-                if tokens.len() < 4 {
-                    return Err(Error::Parse { line, message: "need: name n+ n- value".into() });
-                }
+                expect_tokens(&tokens, 4, "name n+ n- value", line)?;
                 let a = ckt.node(tokens[1]);
                 let b = ckt.node(tokens[2]);
                 let v = parse_value(tokens[3]).map_err(|message| Error::Parse { line, message })?;
+                if v <= 0.0 {
+                    return Err(Error::Parse { line, message: "value must be positive".into() });
+                }
                 match kind {
                     'R' => ckt.add(Resistor::new(name, a, b, v)),
                     'C' => ckt.add(Capacitor::new(name, a, b, v)),
@@ -206,9 +237,12 @@ pub fn parse_netlist(text: &str) -> Result<Circuit> {
             'D' => {
                 let a = ckt.node(tokens[1]);
                 let c = ckt.node(tokens[2]);
-                let (params, _) = split_params(&tokens[3..]);
-                let is = get_param(&params, "is", 1e-14);
-                let n = get_param(&params, "n", 1.0);
+                let params = split_params(&tokens[3..], &["is", "n"], &[], line)?;
+                let is = params.get("is", 1e-14);
+                let n = params.get("n", 1.0);
+                if is <= 0.0 || n <= 0.0 {
+                    return Err(Error::Parse { line, message: "IS and N must be positive".into() });
+                }
                 ckt.add(Diode::new(name, a, c, is).with_ideality(n));
             }
             'Q' => {
@@ -218,10 +252,10 @@ pub fn parse_netlist(text: &str) -> Result<Circuit> {
                 let c = ckt.node(tokens[1]);
                 let b = ckt.node(tokens[2]);
                 let e = ckt.node(tokens[3]);
-                let (params, flags) = split_params(&tokens[4..]);
-                let is = get_param(&params, "is", 1e-16);
-                let bf = get_param(&params, "bf", 100.0);
-                let q = if flags.iter().any(|f| f == "pnp") {
+                let params = split_params(&tokens[4..], &["is", "bf"], &["pnp"], line)?;
+                let is = params.get("is", 1e-16);
+                let bf = params.get("bf", 100.0);
+                let q = if params.has("pnp") {
                     Bjt::pnp(name, c, b, e, is, bf)
                 } else {
                     Bjt::npn(name, c, b, e, is, bf)
@@ -235,11 +269,11 @@ pub fn parse_netlist(text: &str) -> Result<Circuit> {
                 let d = ckt.node(tokens[1]);
                 let g = ckt.node(tokens[2]);
                 let s = ckt.node(tokens[3]);
-                let (params, flags) = split_params(&tokens[4..]);
-                let vto = get_param(&params, "vto", 0.7);
-                let kp = get_param(&params, "kp", 1e-3);
-                let lambda = get_param(&params, "lambda", 0.0);
-                let m = if flags.iter().any(|f| f == "pmos") {
+                let params = split_params(&tokens[4..], &["vto", "kp", "lambda"], &["pmos"], line)?;
+                let vto = params.get("vto", 0.7);
+                let kp = params.get("kp", 1e-3);
+                let lambda = params.get("lambda", 0.0);
+                let m = if params.has("pmos") {
                     Mosfet::pmos(name, d, g, s, vto, kp)
                 } else {
                     Mosfet::nmos(name, d, g, s, vto, kp)
@@ -248,12 +282,7 @@ pub fn parse_netlist(text: &str) -> Result<Circuit> {
                 ckt.add(m);
             }
             'G' | 'E' | 'F' | 'H' => {
-                if tokens.len() < 6 {
-                    return Err(Error::Parse {
-                        line,
-                        message: "need: name out+ out- ctl+ ctl- value".into(),
-                    });
-                }
+                expect_tokens(&tokens, 6, "name out+ out- ctl+ ctl- value", line)?;
                 let op = ckt.node(tokens[1]);
                 let on = ckt.node(tokens[2]);
                 let ip = ckt.node(tokens[3]);
@@ -357,6 +386,64 @@ mod tests {
         match err {
             Error::Parse { line, .. } => assert_eq!(line, 2),
             other => panic!("expected parse error, got {other:?}"),
+        }
+    }
+
+    /// The line and message of the parse error `text` must produce.
+    fn parse_error(text: &str) -> (usize, String) {
+        match parse_netlist(text) {
+            Err(Error::Parse { line, message }) => (line, message),
+            other => panic!("{text:?}: expected a parse error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn source_without_value_is_an_error() {
+        assert_eq!(parse_error("R1 a 0 1k\nV1 a 0").0, 2);
+        assert_eq!(parse_error("I1 a 0 DC").0, 1);
+    }
+
+    #[test]
+    fn parameters_outside_the_card_set_are_errors() {
+        for (card, needle) in [
+            ("D1 a 0 IS=abc", "abc"),
+            ("D1 a 0 IS=0", "positive"),
+            ("D1 a 0 IS=1e-14 is=2e-14", "twice"),
+            ("Q1 c b e BFF=120", "BFF"),
+            ("Q1 c b e NPN", "NPN"),
+            ("M1 d g s FOO", "FOO"),
+            ("M1 d g s VTO=0.5 BF=2", "BF"),
+        ] {
+            let (line, message) = parse_error(&format!("V1 a 0 DC 1\n{card}"));
+            assert_eq!(line, 2, "{card}");
+            assert!(message.contains(needle), "{card}: {message}");
+        }
+    }
+
+    #[test]
+    fn dot_cards_other_than_end_are_errors() {
+        let (line, message) = parse_error("V1 a 0 DC 1\n.tran 1n 1u\nR1 a 0 1k");
+        assert_eq!(line, 2);
+        assert!(message.contains(".tran"), "{message}");
+        assert_eq!(parse_netlist("R1 a 0 1k\n.END\n.tran 1n 1u").unwrap().device_count(), 1);
+    }
+
+    #[test]
+    fn malformed_cards_are_errors() {
+        for card in [
+            "R1 a 0 1k 2k",
+            "R1 a 0 1e999",
+            "R1 a 0 0",
+            "C1 a 0 -1p",
+            "G1 o 0 a 0 1m x",
+            "V1 a 0 DC 1 2",
+            "V1 a 0 1 2",
+            "V1 a 0 SIN(0 1 1k) x",
+            "V1 a 0 SIN)0 1 1k(",
+            "V1 a 0 SIN(0 1)",
+            "V1 a 0 SAW(0 1 1k)",
+        ] {
+            assert_eq!(parse_error(&format!("* header\n{card}")).0, 2, "{card}");
         }
     }
 

@@ -181,3 +181,42 @@ proptest! {
         }
     }
 }
+
+/// What fuzzed netlist lines are made of, whitespace-separated: every
+/// card letter, nodes, good and bad values, parameters and flags in and
+/// out of each card's set, waveform fragments, dot-cards and non-ASCII
+/// text.
+const NETLIST_TOKENS: &str =
+    "R1 C1 L1 V1 I1 D1 Q1 M1 G1 E1 F1 H1 X1 q * ; .end .END .ends .tran . \
+    a b out 0 gnd 1k 2.2u 3meg -1 0.5 1e999 abc nan infinity k DC dc SIN(0 1 1k) SINFAST( \
+    SQUARE(1 1meg) PULSE(0 ( ) )( SIN) (( IS=1e-14 IS=0 IS=-1 IS=abc IS= = =1 N=2 BF=50 \
+    BFF=1 VTO=0.5 KP=2m LAMBDA=0.01 PNP PMOS pnp FOO é Ré \u{0}";
+
+/// Up to 8 lines of up to 8 tokens each.
+fn token_netlist() -> impl Strategy<Value = String> {
+    let vocab: Vec<&str> = NETLIST_TOKENS.split_whitespace().collect();
+    proptest::collection::vec(proptest::collection::vec(0..vocab.len(), 0..8), 1..8).prop_map(
+        move |lines| {
+            let line =
+                |ids: &Vec<usize>| ids.iter().map(|&i| vocab[i]).collect::<Vec<_>>().join(" ");
+            lines.iter().map(line).collect::<Vec<_>>().join("\n")
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Any line of netlist tokens parses or fails with a parse error on
+    /// one of its lines; the parser never panics.
+    #[test]
+    fn parse_netlist_never_panics(text in token_netlist()) {
+        match rfsim_circuit::parser::parse_netlist(&text) {
+            Ok(_) => {}
+            Err(rfsim_circuit::Error::Parse { line, .. }) => {
+                prop_assert!((1..=text.lines().count()).contains(&line), "line {line} in {text:?}");
+            }
+            Err(other) => prop_assert!(false, "{text:?}: unexpected error {other:?}"),
+        }
+    }
+}

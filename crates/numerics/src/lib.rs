@@ -15,8 +15,11 @@
 //!   decompositions ([`dense`], [`svd`], [`eig`]),
 //! - sparse matrices (triplet/CSR) with a Gilbert–Peierls sparse LU that
 //!   factors on an approximate minimum degree column order, pivots on the
-//!   diagonal unless it is below 0.1× its column's largest candidate, and
-//!   solves with `A` or `Aᵀ` from one factorization ([`sparse`]),
+//!   diagonal unless it is below 0.1× its column's largest candidate,
+//!   prunes its reachability search symmetrically (so `L` keeps its
+//!   structural zeros: a pruned column's other rows are found only
+//!   through a later column of `L`), and solves with `A` or `Aᵀ` from
+//!   one factorization ([`sparse`]),
 //! - Krylov-subspace iterative solvers (GMRES, block GMRES) with pluggable
 //!   preconditioners ([`krylov`]),
 //! - FFT/DFT (radix-2 + Bluestein) and spectrum utilities ([`fft`]),

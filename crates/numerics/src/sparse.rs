@@ -1,6 +1,7 @@
 //! Sparse matrices: triplet assembly, CSR storage, and a Gilbert–Peierls
 //! left-looking sparse LU on an approximate minimum degree column order
-//! with diagonal-preferring threshold pivoting.
+//! with diagonal-preferring threshold pivoting and a symmetrically pruned
+//! reachability search.
 //!
 //! The differential-equation formulations surveyed in Section 4 of the paper
 //! (and the circuit MNA systems of Section 2) "generate sparse matrices with
@@ -407,7 +408,11 @@ impl<T: Scalar> Csr<T> {
 /// formulations (Table 1) fill far less than in natural order. `P` is
 /// chosen column by column: the permuted diagonal when its modulus is
 /// at least 0.1× the largest candidate's (keeping the structure the
-/// order was computed for), otherwise the largest.
+/// order was computed for), otherwise the largest. Each column's
+/// reachability search walks symmetrically pruned columns of `L`
+/// (Eisenstat & Liu, SIAM J. Matrix Anal. Appl. 1992), so it visits far
+/// fewer edges than the numeric phase does multiply-adds; `L` keeps
+/// exact-zero entries for this.
 /// One factorization serves both [`SparseLu::solve`] and
 /// [`SparseLu::solve_transposed`].
 #[derive(Debug, Clone)]
@@ -466,42 +471,59 @@ impl<T: Scalar> SparseLu<T> {
         // Work arrays.
         let mut x = vec![T::ZERO; n]; // numeric values by original row index
         let mut pattern: Vec<usize> = Vec::with_capacity(n); // topo order (orig rows)
-        let mut visited = vec![false; n];
-        let mut stack: Vec<(usize, usize)> = Vec::new();
+
+        // `mark[row] == k` once column k's DFS has reached `row`, so no
+        // pass clears the marks; `lpend[col]` ends the part of L(:, col)
+        // a DFS walks (`UNSET` until the column is pruned).
+        let mut work = vec![UNSET; 2 * n];
+        let (mark, lpend) = work.split_at_mut(n);
+        // DFS stack: (node, next and end position in its L column).
+        let mut stack: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
 
         for k in 0..n {
             let j = lu.q[k];
             // --- Symbolic: reachability DFS from the pattern of A(:,j). ---
+            // A non-pivotal row has no out-edges: it is finished when
+            // first reached.
             pattern.clear();
             for p in at.row_ptr[j]..at.row_ptr[j + 1] {
                 let root = at.col_idx[p];
-                if visited[root] {
+                if mark[root] == k {
                     continue;
                 }
-                stack.push((root, 0));
-                visited[root] = true;
-                while let Some(&mut (node, ref mut child)) = stack.last_mut() {
-                    let pj = lu.pinv[node];
-                    let (lo, hi) =
-                        if pj == UNSET { (0, 0) } else { (lu.l_colptr[pj], lu.l_colptr[pj + 1]) };
-                    if lo + *child < hi {
-                        let next = lu.l_rowidx[lo + *child];
-                        *child += 1;
-                        if !visited[next] {
-                            visited[next] = true;
-                            stack.push((next, 0));
+                mark[root] = k;
+                let pj = lu.pinv[root];
+                if pj == UNSET {
+                    pattern.push(root);
+                    continue;
+                }
+                stack.push((root, lu.l_colptr[pj], lpend[pj].min(lu.l_colptr[pj + 1])));
+                while let Some(&mut (node, ref mut pos, end)) = stack.last_mut() {
+                    let mut descend = UNSET;
+                    while *pos < end {
+                        let next = lu.l_rowidx[*pos];
+                        *pos += 1;
+                        if mark[next] != k {
+                            mark[next] = k;
+                            if lu.pinv[next] == UNSET {
+                                pattern.push(next);
+                            } else {
+                                descend = next;
+                                break;
+                            }
                         }
-                    } else {
+                    }
+                    if descend == UNSET {
                         pattern.push(node);
                         stack.pop();
+                    } else {
+                        let pj = lu.pinv[descend];
+                        stack.push((descend, lu.l_colptr[pj], lpend[pj].min(lu.l_colptr[pj + 1])));
                     }
                 }
             }
             // pattern is in reverse topological order; reverse for the solve.
             pattern.reverse();
-            for &p in &pattern {
-                visited[p] = false;
-            }
             // --- Numeric: scatter A(:,j), then eliminate in topo order. ---
             for p in at.row_ptr[j]..at.row_ptr[j + 1] {
                 x[at.col_idx[p]] = at.vals[p];
@@ -515,9 +537,9 @@ impl<T: Scalar> SparseLu<T> {
                 if xv == T::ZERO {
                     continue;
                 }
-                for p in lu.l_colptr[pj]..lu.l_colptr[pj + 1] {
-                    let r = lu.l_rowidx[p];
-                    x[r] -= lu.l_vals[p] * xv;
+                let col = lu.l_colptr[pj]..lu.l_colptr[pj + 1];
+                for (&r, &l) in lu.l_rowidx[col.clone()].iter().zip(&lu.l_vals[col]) {
+                    x[r] -= l * xv;
                 }
             }
             // --- Pivot: the diagonal (row j) unless it is too small next
@@ -543,7 +565,10 @@ impl<T: Scalar> SparseLu<T> {
             let pivot = x[ipiv];
             lu.pinv[ipiv] = k;
             lu.u_diag[k] = pivot;
-            // --- Store U(:, k): pivotal rows; L(:, k): the rest, scaled. ---
+            // --- Store U(:, k): pivotal rows; L(:, k): the rest, scaled.
+            // L keeps exact zeros: pruning below relies on L(:, k) holding
+            // every row its pattern reached. U may drop them, which only
+            // skips some prunes.
             for &node in &pattern {
                 let pj = lu.pinv[node];
                 let xv = x[node];
@@ -556,13 +581,36 @@ impl<T: Scalar> SparseLu<T> {
                         lu.u_rowidx.push(pj);
                         lu.u_vals.push(xv);
                     }
-                } else if xv != T::ZERO {
+                } else {
                     lu.l_rowidx.push(node); // original index; remapped in the solves
                     lu.l_vals.push(xv / pivot);
                 }
             }
             lu.u_colptr.push(lu.u_rowidx.len());
             lu.l_colptr.push(lu.l_rowidx.len());
+            // --- Symmetric pruning (Eisenstat & Liu 1992): when U(i, k) is
+            // stored and L(:, i) holds this column's pivot row, every row
+            // of L(:, i) that is not yet pivotal also lies in L(:, k),
+            // which later searches reach through that pivot row. Move the
+            // pivotal rows of L(:, i) to its front and end its DFS there.
+            for p in lu.u_colptr[k]..lu.u_colptr[k + 1] {
+                let i = lu.u_rowidx[p];
+                let (lo, hi) = (lu.l_colptr[i], lu.l_colptr[i + 1]);
+                if lpend[i] != UNSET || !lu.l_rowidx[lo..hi].contains(&ipiv) {
+                    continue;
+                }
+                let (mut head, mut tail) = (lo, hi);
+                while head < tail {
+                    if lu.pinv[lu.l_rowidx[head]] == UNSET {
+                        tail -= 1;
+                        lu.l_rowidx.swap(head, tail);
+                        lu.l_vals.swap(head, tail);
+                    } else {
+                        head += 1;
+                    }
+                }
+                lpend[i] = tail;
+            }
         }
         rfsim_telemetry::counter_add("lu.sparse.fill_nnz", lu.factor_nnz() as u64);
         Ok(lu)

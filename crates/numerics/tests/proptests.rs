@@ -60,6 +60,56 @@ fn zero_diagonal_matrix() -> impl Strategy<Value = Csr<f64>> {
     })
 }
 
+/// [`zero_diagonal_matrix`] with small integer entries: off-diagonals
+/// from {±1, ±2}, dominant entries 1 + Σ|off-diagonal| of their row.
+/// Eliminating such a matrix cancels entries of L to exact zeros, which
+/// real-valued draws never do.
+fn cancelling_zero_diagonal_matrix() -> impl Strategy<Value = Csr<f64>> {
+    const OFF: [f64; 4] = [-2.0, -1.0, 1.0, 2.0];
+    (2usize..30).prop_flat_map(|n| {
+        (Just(n), 1..n, proptest::collection::vec((0..n, 0..n, 0usize..4), 0..3 * n)).prop_map(
+            |(n, shift, offdiag)| {
+                let mut t = Triplets::new(n, n);
+                let mut diag = vec![1.0; n];
+                let row_of = |i: usize| (i + n - shift) % n;
+                for &(i, j, v) in &offdiag {
+                    if i != j && row_of(i) != j {
+                        t.push(row_of(i), j, OFF[v]);
+                        diag[i] += OFF[v].abs();
+                    }
+                }
+                for (j, d) in diag.iter().enumerate() {
+                    t.push(row_of(j), j, *d);
+                }
+                t.to_csr()
+            },
+        )
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Exact cancellation leaves zeros in L's structure; the factors must
+    /// still solve with `A` and `Aᵀ` as the dense LU does.
+    #[test]
+    fn sparse_lu_survives_exact_cancellation(a in cancelling_zero_diagonal_matrix()) {
+        let n = a.rows();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.61).cos()).collect();
+        let lu = a.lu().map_err(|e| format!("sparse lu: {e}"))?;
+        let xs = lu.solve(&b).unwrap();
+        let xd = a.to_dense().solve(&b).unwrap();
+        for (s, d) in xs.iter().zip(&xd) {
+            prop_assert!((s - d).abs() < 1e-9 * (1.0 + d.abs()), "solve {s} vs dense {d}");
+        }
+        let xt = lu.solve_transposed(&b).unwrap();
+        let xr = a.transpose().to_dense().solve(&b).unwrap();
+        for (t, r) in xt.iter().zip(&xr) {
+            prop_assert!((t - r).abs() < 1e-9 * (1.0 + r.abs()), "transposed {t} vs dense {r}");
+        }
+    }
+}
+
 proptest! {
     #[test]
     fn complex_mul_commutes(a in (finite_f64(), finite_f64()), b in (finite_f64(), finite_f64())) {
