@@ -68,7 +68,7 @@ fn run(h: &mut Harness) -> Result<(), String> {
          cycles' at ratio 2×10⁴); HB cost is flat — set by harmonics, not ratio."
     );
 
-    heading("HB wall on the mixer ladder (kernel-dominated: block LU + GMRES + FFT)");
+    heading("HB wall on the mixer ladder (kernel-dominated: sparse block LU + GMRES + FFT)");
     println!("{:>10} {:>12} {:>10} {:>12}", "stages", "unknowns", "reps", "wall (s)");
     for (stages, reps) in [(128usize, 2usize), (144, 2)] {
         let spec = ModulatorSpec { f_bb: 1e6, f_lo: 100e6, ..Default::default() };

@@ -73,13 +73,13 @@ fn run(h: &mut Harness) -> Result<(), String> {
             ],
         };
         let (fd_out, t_fd) = timed(|| {
-            let s = fd.solve(&[1.0, 0.0]).map_err(|e| format!("FD solve: {e}"))?;
+            let (s, lu) = fd.solve_factored(&[1.0, 0.0]).map_err(|e| format!("FD solve: {e}"))?;
             let c = 2.0 * fd.field_energy(&s.phi);
-            Ok::<_, String>((s, c))
+            Ok::<_, String>((s, lu, c))
         });
-        let (sol, cap_fd) = fd_out?;
+        let (sol, lu, cap_fd) = fd_out?;
         let cond_fd =
-            cond2_estimate(&sol.matrix, 60).map_err(|e| format!("FD conditioning: {e}"))?;
+            cond2_estimate(&sol.matrix, &lu, 60).map_err(|e| format!("FD conditioning: {e}"))?;
         pm.metric("unknowns", sol.unknowns as f64);
         pm.metric("cond2", cond_fd);
         pm.metric("c_ratio", cap_fd / c12);

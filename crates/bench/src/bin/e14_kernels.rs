@@ -129,7 +129,7 @@ fn run(h: &mut Harness) -> Result<(), String> {
         }
     }
 
-    heading("blocked dense LU factor + triangular solves (HB preconditioner)");
+    heading("blocked dense LU factor + triangular solves (MoM, shooting, PSS and ROM solves)");
     println!("{:>9} {:>10} {:>14} {:>14}", "n", "reps", "factor (s)", "solve (s)");
     for (n, spfx) in [(64usize, ""), (128, "kernel:"), (256, "kernel:")] {
         let freps = (24 * BUDGET / (n * n * n)).max(1);

@@ -176,8 +176,8 @@ pub fn switching_mixer(spec: &MixerSpec) -> (CircuitDae, NodeId) {
 /// sections: a unity-gain transconductance buffer into a 1 kΩ load with a
 /// mild cubic compression and a wideband RC pole per stage. Every stage
 /// adds one node, so the harmonic-balance Jacobian's per-frequency blocks
-/// grow with `stages` — this is the kernel-dominated HB workload (blocked
-/// complex LU + triangular solves + GMRES orthogonalization) used by the
+/// grow with `stages` — this is the kernel-dominated HB workload (sparse
+/// block factors and solves, FFTs, GMRES orthogonalization) used by the
 /// e02 `hb:` speedup rows.
 pub fn modulator_chain(spec: &ModulatorSpec, stages: usize) -> (CircuitDae, NodeId) {
     let mut ckt = Circuit::new();

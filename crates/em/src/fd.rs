@@ -7,7 +7,7 @@
 //! field energy: `C = 2·W` for a 1 V excitation.
 
 use crate::{Error, Result};
-use rfsim_numerics::sparse::{Csr, Triplets};
+use rfsim_numerics::sparse::{Csr, SparseLu, Triplets};
 
 /// A rectangular conductor region on the FD grid (cell index ranges,
 /// inclusive lo, exclusive hi).
@@ -67,6 +67,16 @@ impl FdProblem {
     /// [`Error::InvalidSetup`] if potentials don't match conductor count;
     /// propagates sparse-LU failures.
     pub fn solve(&self, volts: &[f64]) -> Result<FdSolution> {
+        self.solve_factored(volts).map(|(sol, _)| sol)
+    }
+
+    /// [`FdProblem::solve`], also returning the sparse LU of the system
+    /// matrix, for a study that needs it again ([`cond2_estimate`]) and
+    /// would otherwise factor the matrix anew.
+    ///
+    /// # Errors
+    /// As [`FdProblem::solve`].
+    pub fn solve_factored(&self, volts: &[f64]) -> Result<(FdSolution, SparseLu<f64>)> {
         if volts.len() != self.conductors.len() {
             return Err(Error::InvalidSetup("potentials/conductors mismatch".into()));
         }
@@ -103,8 +113,9 @@ impl FdProblem {
             }
         }
         let a = t.to_csr();
-        let phi = a.solve(&rhs)?;
-        Ok(FdSolution { phi, matrix: a, unknowns: n })
+        let lu = a.lu()?;
+        let phi = lu.solve(&rhs)?;
+        Ok((FdSolution { phi, matrix: a, unknowns: n }, lu))
     }
 
     /// Field energy `W = (ε/2)·Σ|∇φ|²·h³`; for a single conductor at 1 V
@@ -140,14 +151,14 @@ impl FdProblem {
 }
 
 /// 2-norm condition estimate of a sparse matrix by power iteration on
-/// `AᵀA` (for σ₁) and inverse power iteration through a sparse LU (for
-/// σₙ). Much cheaper than a dense SVD for grid-sized matrices.
+/// `AᵀA` (for σ₁) and inverse power iteration through `lu`, the sparse
+/// LU of `a` (for σₙ). Much cheaper than a dense SVD for grid-sized
+/// matrices.
 ///
 /// # Errors
-/// Propagates LU failure for singular matrices.
-pub fn cond2_estimate(a: &Csr<f64>, iters: usize) -> Result<f64> {
+/// [`Error::Numerics`] when `lu` is not of `a`'s order.
+pub fn cond2_estimate(a: &Csr<f64>, lu: &SparseLu<f64>, iters: usize) -> Result<f64> {
     let n = a.rows();
-    let lu = a.lu()?;
     let mut v: Vec<f64> = (0..n).map(|i| 1.0 + (i as f64 * 0.7).sin()).collect();
     let mut sigma_max = 0.0;
     for _ in 0..iters {
@@ -233,11 +244,11 @@ mod tests {
             eps_r: 1.0,
             conductors: vec![FdConductor { x: (3, 5), y: (3, 5), z: (3, 5) }],
         };
-        let sol = prob.solve(&[1.0]).unwrap();
+        let (sol, lu) = prob.solve_factored(&[1.0]).unwrap();
         // Sparse: ~7 entries per row.
         let density = sol.matrix.density();
         assert!(density < 0.02, "density {density}");
-        let cond_fd = cond2_estimate(&sol.matrix, 60).unwrap();
+        let cond_fd = cond2_estimate(&sol.matrix, &lu, 60).unwrap();
         // MoM matrix for a comparable-size problem.
         let panels = crate::geom::mesh_plate(0.0, 0.0, 0.0, 1e-3, 1e-3, 8, 8, 0);
         let p =
@@ -259,8 +270,8 @@ mod tests {
                 eps_r: 1.0,
                 conductors: vec![FdConductor { x: (0, 1), y: (0, 1), z: (0, 1) }],
             };
-            let sol = prob.solve(&[1.0]).unwrap();
-            cond2_estimate(&sol.matrix, 60).unwrap()
+            let (sol, lu) = prob.solve_factored(&[1.0]).unwrap();
+            cond2_estimate(&sol.matrix, &lu, 60).unwrap()
         };
         let c1 = cond_of(6);
         let c2 = cond_of(12);
@@ -279,8 +290,8 @@ mod tests {
             eps_r: 1.0,
             conductors: vec![FdConductor { x: (2, 3), y: (2, 3), z: (2, 3) }],
         };
-        let sol = prob.solve(&[1.0]).unwrap();
-        let est = cond2_estimate(&sol.matrix, 120).unwrap();
+        let (sol, lu) = prob.solve_factored(&[1.0]).unwrap();
+        let est = cond2_estimate(&sol.matrix, &lu, 120).unwrap();
         let exact = rfsim_numerics::svd::Svd::new(&sol.matrix.to_dense()).unwrap().cond2();
         assert!((est / exact - 1.0).abs() < 0.3, "estimate {est:.1} vs exact {exact:.1}");
     }
@@ -299,8 +310,7 @@ mod tests {
             eps_r: 1.0,
             conductors: vec![plate(3), plate(6)],
         };
-        let a = prob.solve(&[1.0, 0.0]).unwrap().matrix;
-        let lu = a.lu().unwrap();
+        let (FdSolution { matrix: a, .. }, lu) = prob.solve_factored(&[1.0, 0.0]).unwrap();
         assert!(
             lu.factor_nnz() <= 12 * a.nnz(),
             "fill {} / {} = {:.1}×",

@@ -548,111 +548,6 @@ impl<T: Scalar> Lu<T> {
     }
 }
 
-/// Single-precision shadow of a factored complex [`Lu`]: the factors are
-/// stored row-major as interleaved re/im `f32` pairs, halving the memory
-/// traffic of every triangular solve, while the substitution itself
-/// accumulates in f64 (see [`kernels::cdotu_widen`]).
-///
-/// Intended for preconditioner application — the outer iteration
-/// converges on the true f64 residual, so ~7 significant digits in the
-/// *preconditioning operator* cost nothing in final accuracy. Built with
-/// [`Lu::to_single`], which refuses factors that do not survive the
-/// narrowing (overflow or a diagonal that underflows to zero).
-///
-/// [`kernels::cdotu_widen`]: crate::kernels::cdotu_widen
-pub struct LuSingle {
-    /// Row-major interleaved re/im factors (`2·n·n` values).
-    lu: Vec<f32>,
-    perm: Vec<usize>,
-    n: usize,
-}
-
-impl Lu<crate::Complex> {
-    /// Narrows the factors to an f32 [`LuSingle`], or `None` when any
-    /// entry overflows f32 or a pivot underflows to zero — callers fall
-    /// back to the full-precision solve in that case.
-    pub fn to_single(&self) -> Option<LuSingle> {
-        let n = self.lu.rows;
-        let mut data = Vec::with_capacity(2 * n * n);
-        for i in 0..n {
-            for z in self.lu.row(i) {
-                let (re, im) = (z.re as f32, z.im as f32);
-                if !re.is_finite() || !im.is_finite() {
-                    return None;
-                }
-                data.push(re);
-                data.push(im);
-            }
-        }
-        for i in 0..n {
-            if data[2 * i * n + 2 * i] == 0.0 && data[2 * i * n + 2 * i + 1] == 0.0 {
-                return None;
-            }
-        }
-        Some(LuSingle { lu: data, perm: self.perm.clone(), n })
-    }
-}
-
-impl LuSingle {
-    /// Order of the factored matrix.
-    pub fn order(&self) -> usize {
-        self.n
-    }
-
-    /// Resident bytes of the narrowed factors.
-    pub fn bytes(&self) -> usize {
-        self.lu.len() * 4 + self.perm.len() * 8
-    }
-
-    /// Solves `A·x ≈ b` against the narrowed factors (forward + back
-    /// substitution with f64 accumulation). Relative accuracy is limited
-    /// by the f32 factor storage, roughly `1e-6·κ(A)`.
-    ///
-    /// # Errors
-    /// Returns [`Error::DimensionMismatch`] when `b` or `x` has the
-    /// wrong length.
-    pub fn solve_into(&self, b: &[crate::Complex], x: &mut [crate::Complex]) -> Result<()> {
-        let n = self.n;
-        if b.len() != n {
-            return Err(Error::DimensionMismatch { expected: n, found: b.len() });
-        }
-        if x.len() != n {
-            return Err(Error::DimensionMismatch { expected: n, found: x.len() });
-        }
-        for (xi, &p) in x.iter_mut().zip(&self.perm) {
-            *xi = b[p];
-        }
-        // Row-dot substitution, same shape as the f64 SIMD arm of
-        // `Lu::solve_into`: one fused reduction per row.
-        for i in 1..n {
-            let row = &self.lu[2 * i * n..2 * i * n + 2 * i];
-            let (head, tail) = x.split_at_mut(i);
-            tail[0] -= crate::kernels::cdotu_widen(row, head);
-        }
-        for i in (0..n).rev() {
-            let row = &self.lu[2 * i * n + 2 * (i + 1)..2 * (i + 1) * n];
-            let diag = crate::Complex::new(
-                self.lu[2 * i * n + 2 * i] as f64,
-                self.lu[2 * i * n + 2 * i + 1] as f64,
-            );
-            let (head, tail) = x.split_at_mut(i + 1);
-            let acc = head[i] - crate::kernels::cdotu_widen(row, tail);
-            head[i] = acc / diag;
-        }
-        Ok(())
-    }
-
-    /// Allocating form of [`LuSingle::solve_into`].
-    ///
-    /// # Errors
-    /// Returns [`Error::DimensionMismatch`] if `b` has the wrong length.
-    pub fn solve(&self, b: &[crate::Complex]) -> Result<Vec<crate::Complex>> {
-        let mut x = vec![crate::Complex::ZERO; self.n];
-        self.solve_into(b, &mut x)?;
-        Ok(x)
-    }
-}
-
 /// Householder QR factorization of a real or complex matrix, `A = Q·R`.
 ///
 /// Used by the Arnoldi ROM and by least-squares fits in the extraction crate.

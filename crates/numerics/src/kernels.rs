@@ -186,27 +186,6 @@ pub fn cdotu(a: &[Complex], b: &[Complex]) -> Complex {
     acc
 }
 
-/// Unconjugated dot `Σ aᵢ·bᵢ` where `a` is a complex row stored as
-/// interleaved re/im `f32` pairs (the [`LuSingle`] factor layout). Each
-/// row element is widened to f64 before multiplying, so precision is lost
-/// only in the stored row, never in the products or the accumulator.
-///
-/// [`LuSingle`]: crate::dense::LuSingle
-#[inline]
-pub fn cdotu_widen(a: &[f32], b: &[Complex]) -> Complex {
-    assert_eq!(a.len(), 2 * b.len(), "cdotu_widen length mismatch");
-    #[cfg(target_arch = "x86_64")]
-    if simd_active() {
-        // SAFETY: `simd_active` verified AVX2 + FMA at runtime.
-        return unsafe { avx2::cdotu_widen(a, b) };
-    }
-    let mut acc = Complex::ZERO;
-    for (p, y) in a.chunks_exact(2).zip(b.iter()) {
-        acc += Complex::new(p[0] as f64, p[1] as f64) * *y;
-    }
-    acc
-}
-
 /// `Σ (reᵢ² + imᵢ²)` (squared 2-norm, no square root). Scalar fallback
 /// matches the historical `complex::cnorm2` accumulation bitwise.
 #[inline]

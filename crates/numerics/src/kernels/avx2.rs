@@ -420,52 +420,6 @@ pub(crate) unsafe fn cconj_scale(v: &mut [Complex], s: f64) {
     }
 }
 
-/// Unconjugated dot of a single-precision complex row against an f64
-/// vector: `Σ aᵢ·bᵢ` with `a` stored as interleaved re/im `f32` pairs.
-/// The row is widened lane-wise to f64 before the FMA, so only the row's
-/// *memory traffic* is single precision — products and the accumulator
-/// stay f64. This is the substitution kernel for [`LuSingle`], whose
-/// factors would otherwise stream twice the bytes per solve.
-///
-/// [`LuSingle`]: crate::dense::LuSingle
-#[target_feature(enable = "avx2,fma")]
-pub(crate) unsafe fn cdotu_widen(a: &[f32], b: &[Complex]) -> Complex {
-    debug_assert_eq!(a.len(), 2 * b.len());
-    let n = b.len();
-    let pa = a.as_ptr();
-    let pb = b.as_ptr() as *const f64;
-    let mut acc0 = _mm256_setzero_pd();
-    let mut acc1 = _mm256_setzero_pd();
-    let mut i = 0usize;
-    while i + 4 <= n {
-        // 4 complexes = 8 f32 in one ymm; widen halves to two f64 ymms.
-        let af = _mm256_loadu_ps(pa.add(2 * i));
-        let av0 = _mm256_cvtps_pd(_mm256_castps256_ps128(af));
-        let av1 = _mm256_cvtps_pd(_mm256_extractf128_ps(af, 1));
-        let bv0 = _mm256_loadu_pd(pb.add(2 * i));
-        let bv1 = _mm256_loadu_pd(pb.add(2 * i + 4));
-        let t0 = _mm256_mul_pd(_mm256_permute_pd(av0, 0xF), _mm256_permute_pd(bv0, 0x5));
-        let t1 = _mm256_mul_pd(_mm256_permute_pd(av1, 0xF), _mm256_permute_pd(bv1, 0x5));
-        acc0 = _mm256_add_pd(acc0, _mm256_fmaddsub_pd(_mm256_movedup_pd(av0), bv0, t0));
-        acc1 = _mm256_add_pd(acc1, _mm256_fmaddsub_pd(_mm256_movedup_pd(av1), bv1, t1));
-        i += 4;
-    }
-    while i + 2 <= n {
-        let av = _mm256_cvtps_pd(_mm_loadu_ps(pa.add(2 * i)));
-        let bv = _mm256_loadu_pd(pb.add(2 * i));
-        let t = _mm256_mul_pd(_mm256_permute_pd(av, 0xF), _mm256_permute_pd(bv, 0x5));
-        acc0 = _mm256_add_pd(acc0, _mm256_fmaddsub_pd(_mm256_movedup_pd(av), bv, t));
-        i += 2;
-    }
-    let mut s = hsum_complex(_mm256_add_pd(acc0, acc1));
-    while i < n {
-        let w = Complex::new(*pa.add(2 * i) as f64, *pa.add(2 * i + 1) as f64);
-        s += w * *b.get_unchecked(i);
-        i += 1;
-    }
-    s
-}
-
 // --- Vector transcendentals for the panel-quadrature tiles -------------
 //
 // `asinh` and `atan` dominate the analytic rectangle integral behind MoM

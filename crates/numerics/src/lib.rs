@@ -16,10 +16,12 @@
 //! - sparse matrices (triplet/CSR) with a Gilbert–Peierls sparse LU that
 //!   factors on an approximate minimum degree column order, pivots on the
 //!   diagonal unless it is below 0.1× its column's largest candidate,
-//!   prunes its reachability search symmetrically (so `L` keeps its
-//!   structural zeros: a pruned column's other rows are found only
-//!   through a later column of `L`), and solves with `A` or `Aᵀ` from
-//!   one factorization ([`sparse`]),
+//!   prunes its reachability search symmetrically, and solves with `A`
+//!   or `Aᵀ` from one factorization; `L` and `U` keep their structural
+//!   zeros, so a factorization's analysis (order, pivots, patterns) is
+//!   shared by numeric refactorizations of matrices with the same
+//!   pattern, such as the frequency bins of the HB preconditioner
+//!   ([`sparse`]),
 //! - Krylov-subspace iterative solvers (GMRES, block GMRES) with pluggable
 //!   preconditioners ([`krylov`]),
 //! - FFT/DFT (radix-2 + Bluestein) and spectrum utilities ([`fft`]),

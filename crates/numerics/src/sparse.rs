@@ -1,7 +1,8 @@
 //! Sparse matrices: triplet assembly, CSR storage, and a Gilbert–Peierls
 //! left-looking sparse LU on an approximate minimum degree column order
 //! with diagonal-preferring threshold pivoting and a symmetrically pruned
-//! reachability search.
+//! reachability search, whose analysis refactors matrices of the same
+//! pattern.
 //!
 //! The differential-equation formulations surveyed in Section 4 of the paper
 //! (and the circuit MNA systems of Section 2) "generate sparse matrices with
@@ -11,6 +12,7 @@
 
 use crate::scalar::Scalar;
 use crate::{Error, Result};
+use std::sync::Arc;
 
 /// Triplet (COO) matrix builder. Duplicate entries are summed on conversion,
 /// matching the accumulate-by-stamping style of MNA assembly.
@@ -265,6 +267,12 @@ impl<T: Scalar> Csr<T> {
         }
     }
 
+    /// Row `i`'s stored column indices (ascending) and values.
+    pub fn row(&self, i: usize) -> (&[usize], &[T]) {
+        let span = self.row_ptr[i]..self.row_ptr[i + 1];
+        (&self.col_idx[span.clone()], &self.vals[span])
+    }
+
     /// Iterates over `(row, col, value)` of stored entries.
     pub fn iter(&self) -> impl Iterator<Item = (usize, usize, T)> + '_ {
         (0..self.rows).flat_map(move |i| {
@@ -324,30 +332,39 @@ impl<T: Scalar> Csr<T> {
 
     /// Transpose as a new CSR matrix, keeping every stored entry.
     pub fn transpose(&self) -> Csr<T> {
-        // Counting sort by column: `row_ptr[c + 1]` first counts column
-        // `c`, then holds its start as the scatter cursor, and ends at its
-        // end. Rows are visited in order, so each output row is sorted.
-        let mut row_ptr = vec![0usize; self.cols + 1];
+        let (row_ptr, col_idx, pos) = self.columns();
+        let vals = pos.iter().map(|&k| self.vals[k]).collect();
+        Csr { rows: self.cols, cols: self.rows, row_ptr, col_idx, vals }
+    }
+
+    /// The pattern by columns, `(ptr, rows, pos)`: column `j`'s entries
+    /// are `ptr[j]..ptr[j + 1]`, each with its row in `rows` (ascending)
+    /// and the index of its value in the row-wise storage in `pos`.
+    fn columns(&self) -> (Vec<usize>, Vec<usize>, Vec<usize>) {
+        // Counting sort by column: `ptr[c + 1]` first counts column `c`,
+        // then holds its start as the scatter cursor, and ends at its
+        // end. Rows are visited in order, so each column is sorted.
+        let mut ptr = vec![0usize; self.cols + 1];
         for &c in &self.col_idx {
-            row_ptr[c + 1] += 1;
+            ptr[c + 1] += 1;
         }
         let mut start = 0;
-        for slot in &mut row_ptr[1..] {
+        for slot in &mut ptr[1..] {
             let count = *slot;
             *slot = start;
             start += count;
         }
-        let mut col_idx = vec![0usize; self.nnz()];
-        let mut vals = vec![T::ZERO; self.nnz()];
+        let mut rows = vec![0usize; self.nnz()];
+        let mut pos = vec![0usize; self.nnz()];
         for (i, w) in self.row_ptr.windows(2).enumerate() {
             for k in w[0]..w[1] {
-                let slot = &mut row_ptr[self.col_idx[k] + 1];
-                col_idx[*slot] = i;
-                vals[*slot] = self.vals[k];
+                let slot = &mut ptr[self.col_idx[k] + 1];
+                rows[*slot] = i;
+                pos[*slot] = k;
                 *slot += 1;
             }
         }
-        Csr { rows: self.cols, cols: self.rows, row_ptr, col_idx, vals }
+        (ptr, rows, pos)
     }
 
     /// Returns `alpha·A + beta·B` (shapes must match).
@@ -382,7 +399,8 @@ impl<T: Scalar> Csr<T> {
 
     /// Sparse LU factorization (Gilbert–Peierls on an approximate
     /// minimum degree column order, diagonal-preferring threshold
-    /// pivoting); see [`SparseLu`].
+    /// pivoting); see [`SparseLu`], and [`SparseLu::refactor`] for
+    /// matrices that share this one's pattern.
     ///
     /// # Errors
     /// Returns [`Error::Singular`] if no acceptable pivot exists in some
@@ -411,24 +429,45 @@ impl<T: Scalar> Csr<T> {
 /// order was computed for), otherwise the largest. Each column's
 /// reachability search walks symmetrically pruned columns of `L`
 /// (Eisenstat & Liu, SIAM J. Matrix Anal. Appl. 1992), so it visits far
-/// fewer edges than the numeric phase does multiply-adds; `L` keeps
-/// exact-zero entries for this.
-/// One factorization serves both [`SparseLu::solve`] and
-/// [`SparseLu::solve_transposed`].
+/// fewer edges than the numeric phase does multiply-adds.
+///
+/// A factorization is an *analysis* — `Q`, `P` and the patterns of `A`,
+/// `L` and `U`, held behind an [`Arc`] — plus the values. `L` and `U`
+/// keep every position the search reached, exact zeros included, so the
+/// analysis depends on `A`'s pattern and the pivot sequence only, and
+/// [`SparseLu::refactor`] factors another matrix of the same pattern on
+/// it, computing only the values (KLU's numeric refactorization; Davis &
+/// Palamadai Natarajan, ACM TOMS 2010). One factorization serves both
+/// [`SparseLu::solve`] and [`SparseLu::solve_transposed`].
 #[derive(Debug, Clone)]
 pub struct SparseLu<T> {
-    n: usize,
-    l_colptr: Vec<usize>,
-    l_rowidx: Vec<usize>,
+    analysis: Arc<Analysis>,
     l_vals: Vec<T>,
-    u_colptr: Vec<usize>,
-    u_rowidx: Vec<usize>,
     u_vals: Vec<T>,
     u_diag: Vec<T>,
-    /// `pinv[orig_row] = pivoted position`.
-    pinv: Vec<usize>,
-    /// `q[position] = orig_col`: the column order.
+}
+
+/// The value-independent part of a [`SparseLu`]. Solves and
+/// refactorizations keep entry `k` of a pivoted vector at position
+/// `q[k]`: the pivot of step `k` sits at `q[k]` and original row `r` at
+/// `slot[r]`, so a solve ends with `x` in place. The row indices of `L`
+/// and `U` are such positions.
+#[derive(Debug)]
+struct Analysis {
+    /// `q[k]`: the column factored at step `k`; `qinv` its inverse.
     q: Vec<usize>,
+    qinv: Vec<usize>,
+    /// `slot[r] = q[pinv[r]]`: the position of original row `r`.
+    slot: Vec<usize>,
+    l_colptr: Vec<usize>,
+    l_rows: Vec<usize>,
+    u_colptr: Vec<usize>,
+    u_rows: Vec<usize>,
+    /// `A`'s pattern by columns (see [`Csr::columns`]), which a
+    /// refactored matrix must match.
+    a_colptr: Vec<usize>,
+    a_rows: Vec<usize>,
+    a_pos: Vec<usize>,
 }
 
 const UNSET: usize = usize::MAX;
@@ -450,24 +489,17 @@ impl<T: Scalar> SparseLu<T> {
         }
         rfsim_telemetry::counter_add("lu.sparse.factorizations", 1);
         let n = a.rows();
-        // Column-compressed view of A (we need columns).
-        let at = a.transpose(); // rows of aᵗ are columns of a
-        let q = amd_order(&a.row_ptr, &a.col_idx, &at.row_ptr, &at.col_idx);
+        let (a_colptr, a_rows, a_pos) = a.columns();
+        let q = amd_order(&a.row_ptr, &a.col_idx, &a_colptr, &a_rows);
         let nnz = a.nnz();
-        let mut lu = SparseLu {
-            n,
-            l_colptr: Vec::with_capacity(n + 1),
-            l_rowidx: Vec::with_capacity(nnz),
-            l_vals: Vec::with_capacity(nnz),
-            u_colptr: Vec::with_capacity(n + 1),
-            u_rowidx: Vec::with_capacity(nnz),
-            u_vals: Vec::with_capacity(nnz),
-            u_diag: vec![T::ZERO; n],
-            pinv: vec![UNSET; n],
-            q,
-        };
-        lu.l_colptr.push(0);
-        lu.u_colptr.push(0);
+        let (mut l_colptr, mut u_colptr) = (Vec::with_capacity(n + 1), Vec::with_capacity(n + 1));
+        let (mut l_rows, mut u_rows) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        let (mut l_vals, mut u_vals) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+        let mut u_diag = vec![T::ZERO; n];
+        // `pinv[orig_row] = pivoted position`.
+        let mut pinv = vec![UNSET; n];
+        l_colptr.push(0);
+        u_colptr.push(0);
         // Work arrays.
         let mut x = vec![T::ZERO; n]; // numeric values by original row index
         let mut pattern: Vec<usize> = Vec::with_capacity(n); // topo order (orig rows)
@@ -481,31 +513,31 @@ impl<T: Scalar> SparseLu<T> {
         let mut stack: Vec<(usize, usize, usize)> = Vec::with_capacity(n);
 
         for k in 0..n {
-            let j = lu.q[k];
+            let j = q[k];
+            let acol = a_colptr[j]..a_colptr[j + 1];
             // --- Symbolic: reachability DFS from the pattern of A(:,j). ---
             // A non-pivotal row has no out-edges: it is finished when
             // first reached.
             pattern.clear();
-            for p in at.row_ptr[j]..at.row_ptr[j + 1] {
-                let root = at.col_idx[p];
+            for &root in &a_rows[acol.clone()] {
                 if mark[root] == k {
                     continue;
                 }
                 mark[root] = k;
-                let pj = lu.pinv[root];
+                let pj = pinv[root];
                 if pj == UNSET {
                     pattern.push(root);
                     continue;
                 }
-                stack.push((root, lu.l_colptr[pj], lpend[pj].min(lu.l_colptr[pj + 1])));
+                stack.push((root, l_colptr[pj], lpend[pj].min(l_colptr[pj + 1])));
                 while let Some(&mut (node, ref mut pos, end)) = stack.last_mut() {
                     let mut descend = UNSET;
                     while *pos < end {
-                        let next = lu.l_rowidx[*pos];
+                        let next = l_rows[*pos];
                         *pos += 1;
                         if mark[next] != k {
                             mark[next] = k;
-                            if lu.pinv[next] == UNSET {
+                            if pinv[next] == UNSET {
                                 pattern.push(next);
                             } else {
                                 descend = next;
@@ -517,19 +549,19 @@ impl<T: Scalar> SparseLu<T> {
                         pattern.push(node);
                         stack.pop();
                     } else {
-                        let pj = lu.pinv[descend];
-                        stack.push((descend, lu.l_colptr[pj], lpend[pj].min(lu.l_colptr[pj + 1])));
+                        let pj = pinv[descend];
+                        stack.push((descend, l_colptr[pj], lpend[pj].min(l_colptr[pj + 1])));
                     }
                 }
             }
             // pattern is in reverse topological order; reverse for the solve.
             pattern.reverse();
             // --- Numeric: scatter A(:,j), then eliminate in topo order. ---
-            for p in at.row_ptr[j]..at.row_ptr[j + 1] {
-                x[at.col_idx[p]] = at.vals[p];
+            for (&r, &p) in a_rows[acol.clone()].iter().zip(&a_pos[acol]) {
+                x[r] = a.vals[p];
             }
             for &node in &pattern {
-                let pj = lu.pinv[node];
+                let pj = pinv[node];
                 if pj == UNSET {
                     continue;
                 }
@@ -537,8 +569,8 @@ impl<T: Scalar> SparseLu<T> {
                 if xv == T::ZERO {
                     continue;
                 }
-                let col = lu.l_colptr[pj]..lu.l_colptr[pj + 1];
-                for (&r, &l) in lu.l_rowidx[col.clone()].iter().zip(&lu.l_vals[col]) {
+                let col = l_colptr[pj]..l_colptr[pj + 1];
+                for (&r, &l) in l_rows[col.clone()].iter().zip(&l_vals[col]) {
                     x[r] -= l * xv;
                 }
             }
@@ -548,7 +580,7 @@ impl<T: Scalar> SparseLu<T> {
             let mut ipiv = UNSET;
             let mut pmax = 0.0f64;
             for &node in &pattern {
-                if lu.pinv[node] == UNSET {
+                if pinv[node] == UNSET {
                     let m = x[node].modulus();
                     if m > pmax {
                         pmax = m;
@@ -559,52 +591,51 @@ impl<T: Scalar> SparseLu<T> {
             if ipiv == UNSET || pmax == 0.0 {
                 return Err(Error::Singular(j));
             }
-            if lu.pinv[j] == UNSET && x[j].modulus() >= DIAG_PIVOT_TOL * pmax {
+            if pinv[j] == UNSET && x[j].modulus() >= DIAG_PIVOT_TOL * pmax {
                 ipiv = j;
             }
             let pivot = x[ipiv];
-            lu.pinv[ipiv] = k;
-            lu.u_diag[k] = pivot;
+            pinv[ipiv] = k;
+            u_diag[k] = pivot;
             // --- Store U(:, k): pivotal rows; L(:, k): the rest, scaled.
-            // L keeps exact zeros: pruning below relies on L(:, k) holding
-            // every row its pattern reached. U may drop them, which only
-            // skips some prunes.
+            // Both keep exact zeros. Pruning below relies on L(:, k)
+            // holding every row its pattern reached, and a
+            // refactorization on U holding every position another
+            // matrix's values may fill.
             for &node in &pattern {
-                let pj = lu.pinv[node];
+                let pj = pinv[node];
                 let xv = x[node];
                 x[node] = T::ZERO;
                 if node == ipiv {
                     continue;
                 }
                 if pj != UNSET && pj < k {
-                    if xv != T::ZERO {
-                        lu.u_rowidx.push(pj);
-                        lu.u_vals.push(xv);
-                    }
+                    u_rows.push(pj);
+                    u_vals.push(xv);
                 } else {
-                    lu.l_rowidx.push(node); // original index; remapped in the solves
-                    lu.l_vals.push(xv / pivot);
+                    l_rows.push(node); // original index; a position below
+                    l_vals.push(xv / pivot);
                 }
             }
-            lu.u_colptr.push(lu.u_rowidx.len());
-            lu.l_colptr.push(lu.l_rowidx.len());
+            u_colptr.push(u_rows.len());
+            l_colptr.push(l_rows.len());
             // --- Symmetric pruning (Eisenstat & Liu 1992): when U(i, k) is
             // stored and L(:, i) holds this column's pivot row, every row
             // of L(:, i) that is not yet pivotal also lies in L(:, k),
             // which later searches reach through that pivot row. Move the
             // pivotal rows of L(:, i) to its front and end its DFS there.
-            for p in lu.u_colptr[k]..lu.u_colptr[k + 1] {
-                let i = lu.u_rowidx[p];
-                let (lo, hi) = (lu.l_colptr[i], lu.l_colptr[i + 1]);
-                if lpend[i] != UNSET || !lu.l_rowidx[lo..hi].contains(&ipiv) {
+            for p in u_colptr[k]..u_colptr[k + 1] {
+                let i = u_rows[p];
+                let (lo, hi) = (l_colptr[i], l_colptr[i + 1]);
+                if lpend[i] != UNSET || !l_rows[lo..hi].contains(&ipiv) {
                     continue;
                 }
                 let (mut head, mut tail) = (lo, hi);
                 while head < tail {
-                    if lu.pinv[lu.l_rowidx[head]] == UNSET {
+                    if pinv[l_rows[head]] == UNSET {
                         tail -= 1;
-                        lu.l_rowidx.swap(head, tail);
-                        lu.l_vals.swap(head, tail);
+                        l_rows.swap(head, tail);
+                        l_vals.swap(head, tail);
                     } else {
                         head += 1;
                     }
@@ -612,18 +643,150 @@ impl<T: Scalar> SparseLu<T> {
                 lpend[i] = tail;
             }
         }
+        // Row indices become positions: original row r of L is kept at
+        // q[pinv[r]], pivot step i of U at q[i].
+        let mut slot = pinv;
+        for p in &mut slot {
+            *p = q[*p];
+        }
+        for r in &mut l_rows {
+            *r = slot[*r];
+        }
+        for i in &mut u_rows {
+            *i = q[*i];
+        }
+        let mut qinv = vec![0; n];
+        for (k, &j) in q.iter().enumerate() {
+            qinv[j] = k;
+        }
+        let analysis =
+            Analysis { q, qinv, slot, l_colptr, l_rows, u_colptr, u_rows, a_colptr, a_rows, a_pos };
+        let lu = SparseLu { analysis: Arc::new(analysis), l_vals, u_vals, u_diag };
         rfsim_telemetry::counter_add("lu.sparse.fill_nnz", lu.factor_nnz() as u64);
         Ok(lu)
     }
 
+    /// Factors `a`, which must have the pattern of the matrix this
+    /// factorization was made from, on the same analysis: the column
+    /// order, pivot sequence and patterns of `L` and `U` are reused and
+    /// only the values computed, with no search and no ordering. A pivot
+    /// below 0.1× the largest candidate in its column (the bound
+    /// [`SparseLu::new`] pivots by) gives `a` a fresh [`SparseLu::new`]
+    /// instead, with an analysis of its own.
+    ///
+    /// # Errors
+    /// [`Error::InvalidArgument`] if `a`'s pattern differs, and those of
+    /// [`SparseLu::new`] when a pivot fails.
+    pub fn refactor(&self, a: &Csr<T>) -> Result<Self> {
+        if !self.has_pattern_of(a) {
+            return Err(Error::InvalidArgument(
+                "sparse refactor: pattern differs from the analysis",
+            ));
+        }
+        let s = &*self.analysis;
+        let n = s.q.len();
+        let mut l_vals = vec![T::ZERO; s.l_rows.len()];
+        let mut u_vals = vec![T::ZERO; s.u_rows.len()];
+        let mut u_diag = vec![T::ZERO; n];
+        let mut x = vec![T::ZERO; n];
+        for (k, &j) in s.q.iter().enumerate() {
+            let acol = s.a_colptr[j]..s.a_colptr[j + 1];
+            for (&r, &p) in s.a_rows[acol.clone()].iter().zip(&s.a_pos[acol]) {
+                x[s.slot[r]] = a.vals[p];
+            }
+            // U(:, k) is stored in the topological order of its search.
+            for p in s.u_colptr[k]..s.u_colptr[k + 1] {
+                let i = s.u_rows[p];
+                let xv = std::mem::replace(&mut x[i], T::ZERO);
+                u_vals[p] = xv;
+                if xv == T::ZERO {
+                    continue;
+                }
+                let col = s.l_colptr[s.qinv[i]]..s.l_colptr[s.qinv[i] + 1];
+                for (&r, &l) in s.l_rows[col.clone()].iter().zip(&l_vals[col]) {
+                    x[r] -= l * xv;
+                }
+            }
+            let pivot = std::mem::replace(&mut x[j], T::ZERO);
+            let col = s.l_colptr[k]..s.l_colptr[k + 1];
+            let pmax =
+                s.l_rows[col.clone()].iter().fold(pivot.modulus(), |m, &r| m.max(x[r].modulus()));
+            let accepted = pmax > 0.0 && pivot.modulus() >= DIAG_PIVOT_TOL * pmax;
+            if !accepted {
+                return SparseLu::new(a);
+            }
+            u_diag[k] = pivot;
+            for (&r, l) in s.l_rows[col.clone()].iter().zip(&mut l_vals[col]) {
+                *l = std::mem::replace(&mut x[r], T::ZERO) / pivot;
+            }
+        }
+        rfsim_telemetry::counter_add("lu.sparse.refactorizations", 1);
+        Ok(SparseLu { analysis: Arc::clone(&self.analysis), l_vals, u_vals, u_diag })
+    }
+
+    /// Whether `a` has the pattern the analysis was made for: as many
+    /// entries, and each analysed entry `(r, j)` at a place of `a`'s
+    /// storage that holds column `j` of row `r`. Entries are distinct,
+    /// so that place is a different one for each.
+    fn has_pattern_of(&self, a: &Csr<T>) -> bool {
+        let s = &*self.analysis;
+        let n = s.q.len();
+        a.rows == n
+            && a.cols == n
+            && a.nnz() == s.a_pos.len()
+            && (0..n).all(|j| {
+                (s.a_colptr[j]..s.a_colptr[j + 1]).all(|p| {
+                    let (r, k) = (s.a_rows[p], s.a_pos[p]);
+                    (a.row_ptr[r]..a.row_ptr[r + 1]).contains(&k) && a.col_idx[k] == j
+                })
+            })
+    }
+
     /// Order of the factored matrix.
     pub fn order(&self) -> usize {
-        self.n
+        self.u_diag.len()
     }
 
     /// Total stored nonzeros in `L + U` (a fill-in measure).
     pub fn factor_nnz(&self) -> usize {
-        self.l_vals.len() + self.u_vals.len() + self.n
+        self.l_vals.len() + self.u_vals.len() + self.order()
+    }
+
+    /// Whether `self` and `other` are factors on one analysis: one is a
+    /// [refactorization](SparseLu::refactor) of the other, or both are
+    /// of a third.
+    pub fn shares_analysis(&self, other: &SparseLu<T>) -> bool {
+        Arc::ptr_eq(&self.analysis, &other.analysis)
+    }
+
+    /// Bytes this factor holds beside its analysis: the struct and the
+    /// buffers of `L`'s, `U`'s and the pivots' values.
+    pub fn value_bytes(&self) -> usize {
+        let vals = self.l_vals.capacity() + self.u_vals.capacity() + self.u_diag.capacity();
+        std::mem::size_of::<Self>() + vals * std::mem::size_of::<T>()
+    }
+
+    /// Bytes the analysis holds, once for every factor that
+    /// [shares](SparseLu::shares_analysis) it: its allocation (two
+    /// reference counts and the struct) and its index buffers.
+    pub fn analysis_bytes(&self) -> usize {
+        let s = &*self.analysis;
+        let words = 2 + [
+            &s.q,
+            &s.qinv,
+            &s.slot,
+            &s.l_colptr,
+            &s.l_rows,
+            &s.u_colptr,
+            &s.u_rows,
+            &s.a_colptr,
+            &s.a_rows,
+            &s.a_pos,
+        ]
+        .iter()
+        .map(|v| v.capacity())
+        .sum::<usize>();
+        std::mem::size_of::<Analysis>() + words * std::mem::size_of::<usize>()
     }
 
     /// Solves `A·x = b`.
@@ -631,43 +794,55 @@ impl<T: Scalar> SparseLu<T> {
     /// # Errors
     /// Returns [`Error::DimensionMismatch`] for a wrong-sized `b`.
     pub fn solve(&self, b: &[T]) -> Result<Vec<T>> {
-        if b.len() != self.n {
-            return Err(Error::DimensionMismatch { expected: self.n, found: b.len() });
-        }
-        // z = P·b in pivoted coordinates: z[pinv[i]] = b[i].
-        let mut z = vec![T::ZERO; self.n];
-        for i in 0..self.n {
-            z[self.pinv[i]] = b[i];
-        }
-        // Forward solve L·y = z (unit diagonal), L columns hold original row
-        // indices: remap through pinv.
-        for j in 0..self.n {
-            let zj = z[j];
-            if zj == T::ZERO {
-                continue;
-            }
-            for k in self.l_colptr[j]..self.l_colptr[j + 1] {
-                let r = self.pinv[self.l_rowidx[k]];
-                z[r] -= self.l_vals[k] * zj;
-            }
-        }
-        // Backward solve U·y = z, U stored by columns with separate diagonal.
-        for j in (0..self.n).rev() {
-            z[j] /= self.u_diag[j];
-            let xj = z[j];
-            if xj == T::ZERO {
-                continue;
-            }
-            for k in self.u_colptr[j]..self.u_colptr[j + 1] {
-                z[self.u_rowidx[k]] -= self.u_vals[k] * xj;
-            }
-        }
-        // x = Q·y.
-        let mut x = vec![T::ZERO; self.n];
-        for (&col, &y) in self.q.iter().zip(&z) {
-            x[col] = y;
-        }
+        let mut x = vec![T::ZERO; self.order()];
+        self.solve_into(b, &mut x)?;
         Ok(x)
+    }
+
+    /// Solves `A·x = b` into a caller-provided buffer — the
+    /// allocation-free form of [`SparseLu::solve`].
+    ///
+    /// # Errors
+    /// Returns [`Error::DimensionMismatch`] when `b` or `x` has the wrong
+    /// length.
+    pub fn solve_into(&self, b: &[T], x: &mut [T]) -> Result<()> {
+        let s = &*self.analysis;
+        let n = self.order();
+        if b.len() != n {
+            return Err(Error::DimensionMismatch { expected: n, found: b.len() });
+        }
+        if x.len() != n {
+            return Err(Error::DimensionMismatch { expected: n, found: x.len() });
+        }
+        // P·b, each row at its position.
+        for (&p, &bi) in s.slot.iter().zip(b) {
+            x[p] = bi;
+        }
+        // Forward solve L·y = P·b (unit diagonal).
+        for (k, &pk) in s.q.iter().enumerate() {
+            let yk = x[pk];
+            if yk == T::ZERO {
+                continue;
+            }
+            let col = s.l_colptr[k]..s.l_colptr[k + 1];
+            for (&r, &l) in s.l_rows[col.clone()].iter().zip(&self.l_vals[col]) {
+                x[r] -= l * yk;
+            }
+        }
+        // Backward solve U·w = y, U stored by columns with separate
+        // diagonal. w[k] is x[q[k]], so x ends in place.
+        for (k, &pk) in s.q.iter().enumerate().rev() {
+            x[pk] /= self.u_diag[k];
+            let wk = x[pk];
+            if wk == T::ZERO {
+                continue;
+            }
+            let col = s.u_colptr[k]..s.u_colptr[k + 1];
+            for (&r, &u) in s.u_rows[col.clone()].iter().zip(&self.u_vals[col]) {
+                x[r] -= u * wk;
+            }
+        }
+        Ok(())
     }
 
     /// Solves `Aᵀ·x = b` with the same factors: `Aᵀ = Q·Uᵀ·Lᵀ·P`. The
@@ -677,29 +852,34 @@ impl<T: Scalar> SparseLu<T> {
     /// # Errors
     /// Returns [`Error::DimensionMismatch`] for a wrong-sized `b`.
     pub fn solve_transposed(&self, b: &[T]) -> Result<Vec<T>> {
-        if b.len() != self.n {
-            return Err(Error::DimensionMismatch { expected: self.n, found: b.len() });
+        let s = &*self.analysis;
+        let n = self.order();
+        if b.len() != n {
+            return Err(Error::DimensionMismatch { expected: n, found: b.len() });
         }
-        // z = Qᵀ·b.
-        let mut z: Vec<T> = self.q.iter().map(|&col| b[col]).collect();
-        // Forward solve Uᵀ·w = z: column j of U is row j of Uᵀ.
-        for j in 0..self.n {
-            let mut acc = z[j];
-            for k in self.u_colptr[j]..self.u_colptr[j + 1] {
-                acc -= self.u_vals[k] * z[self.u_rowidx[k]];
+        // Qᵀ·b puts entry q[k] of b at step k, which is kept at q[k]: b
+        // itself.
+        let mut z = b.to_vec();
+        // Forward solve Uᵀ·w = Qᵀ·b: column k of U is row k of Uᵀ.
+        for (k, &pk) in s.q.iter().enumerate() {
+            let mut acc = z[pk];
+            let col = s.u_colptr[k]..s.u_colptr[k + 1];
+            for (&r, &u) in s.u_rows[col.clone()].iter().zip(&self.u_vals[col]) {
+                acc -= u * z[r];
             }
-            z[j] = acc / self.u_diag[j];
+            z[pk] = acc / self.u_diag[k];
         }
-        // Backward solve Lᵀ·v = w: column j of L is row j of Lᵀ.
-        for j in (0..self.n).rev() {
-            let mut acc = z[j];
-            for k in self.l_colptr[j]..self.l_colptr[j + 1] {
-                acc -= self.l_vals[k] * z[self.pinv[self.l_rowidx[k]]];
+        // Backward solve Lᵀ·v = w: column k of L is row k of Lᵀ.
+        for (k, &pk) in s.q.iter().enumerate().rev() {
+            let mut acc = z[pk];
+            let col = s.l_colptr[k]..s.l_colptr[k + 1];
+            for (&r, &l) in s.l_rows[col.clone()].iter().zip(&self.l_vals[col]) {
+                acc -= l * z[r];
             }
-            z[j] = acc;
+            z[pk] = acc;
         }
         // x = Pᵀ·v.
-        Ok(self.pinv.iter().map(|&p| z[p]).collect())
+        Ok(s.slot.iter().map(|&p| z[p]).collect())
     }
 }
 
@@ -1301,6 +1481,60 @@ mod tests {
             assert!((*ri - *bi).abs() < 1e-12);
         }
         assert!(matches!(lu.solve_transposed(&b[1..]), Err(Error::DimensionMismatch { .. })));
+    }
+
+    #[test]
+    fn refactor_of_the_same_values_is_bitwise_new() {
+        // Zero diagonals force off-diagonal pivots, so the pivot sequence
+        // is not the column order.
+        let a = {
+            let mut t = Triplets::new(6, 6);
+            for i in 0..6 {
+                let f = i as f64;
+                t.push(i, (i + 1) % 6, Complex::new(3.0 + f, 1.0 - f));
+                t.push(i, (i + 3) % 6, Complex::new(0.5, 0.25 * f));
+            }
+            t.to_csr()
+        };
+        let lu = a.lu().unwrap();
+        let again = lu.refactor(&a).unwrap();
+        assert!(again.shares_analysis(&lu));
+        assert_eq!(again.l_vals, lu.l_vals);
+        assert_eq!(again.u_vals, lu.u_vals);
+        assert_eq!(again.u_diag, lu.u_diag);
+        assert!(!a.lu().unwrap().shares_analysis(&lu));
+        // A refactorization's buffers are exactly as long as its values.
+        let own = std::mem::size_of::<SparseLu<Complex>>();
+        assert_eq!(again.value_bytes(), own + 16 * again.factor_nnz());
+        assert!(lu.value_bytes() >= own + 16 * lu.factor_nnz());
+        assert!(lu.analysis_bytes() > std::mem::size_of::<Analysis>());
+    }
+
+    #[test]
+    fn refactor_rejects_another_pattern() {
+        let a = laplacian_1d(5);
+        let lu = a.lu().unwrap();
+        let b = a.add_scaled(1.0, &Csr::identity(5), 1.0); // same pattern
+        assert!(lu.refactor(&b).unwrap().shares_analysis(&lu));
+        let mut t = Triplets::new(5, 5);
+        for (i, j, v) in a.iter() {
+            t.push(i, j, v);
+        }
+        t.push(0, 4, 1.0);
+        assert!(matches!(lu.refactor(&t.to_csr()), Err(Error::InvalidArgument(_))));
+        assert!(matches!(lu.refactor(&laplacian_1d(4)), Err(Error::InvalidArgument(_))));
+    }
+
+    #[test]
+    fn solve_into_matches_solve() {
+        let a = laplacian_1d(7);
+        let lu = a.lu().unwrap();
+        let b: Vec<f64> = (0..7).map(|i| (i as f64).cos()).collect();
+        let mut x = vec![0.0; 7];
+        lu.solve_into(&b, &mut x).unwrap();
+        assert_eq!(x, lu.solve(&b).unwrap());
+        assert!(matches!(lu.solve_into(&b[1..], &mut x), Err(Error::DimensionMismatch { .. })));
+        assert!(matches!(lu.solve_into(&b, &mut x[1..]), Err(Error::DimensionMismatch { .. })));
     }
 
     /// The column order [`SparseLu::new`] factors `a` in.

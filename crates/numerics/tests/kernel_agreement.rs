@@ -20,7 +20,6 @@
 //! the scalar contract is exercised even in a SIMD-only environment.
 
 use proptest::prelude::*;
-use rfsim_numerics::dense::Mat;
 use rfsim_numerics::kernels;
 use rfsim_numerics::Complex;
 
@@ -123,21 +122,6 @@ proptest! {
     }
 
     #[test]
-    fn cdotu_widen_agrees((a, b) in len_strategy().prop_flat_map(|n| (f64_vec(Just(2 * n)), complex_vec(n)))) {
-        let a32: Vec<f32> = a.iter().map(|&x| x as f32).collect();
-        let reference = a32
-            .chunks_exact(2)
-            .zip(&b)
-            .fold(Complex::ZERO, |acc, (p, y)| acc + Complex::new(p[0] as f64, p[1] as f64) * *y);
-        let mag: f64 = a32
-            .chunks_exact(2)
-            .zip(&b)
-            .map(|(p, y)| Complex::new(p[0] as f64, p[1] as f64).abs() * y.abs())
-            .sum();
-        check_complex(kernels::simd_active(), kernels::cdotu_widen(&a32, &b), reference, mag)?;
-    }
-
-    #[test]
     fn cnorm2_sq_agrees(v in (0usize..40).prop_flat_map(complex_vec)) {
         let reference: f64 = v.iter().map(|z| z.re * z.re + z.im * z.im).sum();
         check_f64(kernels::simd_active(), kernels::cnorm2_sq(&v), reference, reference.abs())?;
@@ -207,72 +191,6 @@ proptest! {
             }
         }
     }
-
-    /// The narrowed (f32-storage) LU factors must solve the same system
-    /// as the f64 factors to within single-precision accuracy. The test
-    /// matrices are diagonally dominant, so κ(A) is O(1) and the bound
-    /// is a comfortable 1e-4 relative.
-    #[test]
-    fn lu_single_matches_double(
-        vals in proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 64),
-        rhs in proptest::collection::vec((-5.0f64..5.0, -5.0f64..5.0), 8),
-    ) {
-        let n = 8;
-        let mut m = Mat::from_fn(n, n, |i, j| {
-            let (re, im) = vals[i * n + j];
-            Complex::new(re, im)
-        });
-        for i in 0..n {
-            m[(i, i)] += Complex::new(n as f64 + 1.0, 0.0);
-        }
-        let b: Vec<Complex> = rhs.iter().map(|&(re, im)| Complex::new(re, im)).collect();
-        let lu = m.lu().unwrap();
-        let x64 = lu.solve(&b).unwrap();
-        let single = lu.to_single().expect("finite factors narrow");
-        prop_assert_eq!(single.order(), n);
-        let x32 = single.solve(&b).unwrap();
-        let scale = x64.iter().map(|z| z.abs()).fold(0.0, f64::max).max(1.0);
-        for i in 0..n {
-            prop_assert!(
-                (x32[i] - x64[i]).abs() <= 1e-4 * scale,
-                "x[{i}]: narrowed {} vs double {}", x32[i], x64[i]
-            );
-        }
-    }
-}
-
-/// Narrowing must refuse factors it cannot represent instead of
-/// producing garbage: overflow to ±∞ and diagonals that underflow to
-/// zero both return `None`, and the caller keeps the f64 path.
-#[test]
-fn lu_single_rejects_unrepresentable_factors() {
-    let huge =
-        Mat::from_fn(
-            2,
-            2,
-            |i, j| {
-                if i == j {
-                    Complex::new(1e200, 0.0)
-                } else {
-                    Complex::new(0.0, 0.0)
-                }
-            },
-        );
-    assert!(huge.lu().unwrap().to_single().is_none(), "1e200 overflows f32");
-
-    let tiny =
-        Mat::from_fn(
-            2,
-            2,
-            |i, j| {
-                if i == j {
-                    Complex::new(1e-60, 0.0)
-                } else {
-                    Complex::new(0.0, 0.0)
-                }
-            },
-        );
-    assert!(tiny.lu().unwrap().to_single().is_none(), "1e-60 diagonal underflows to zero");
 }
 
 /// Forces the kill-switch in a subprocess (dispatch is resolved once per

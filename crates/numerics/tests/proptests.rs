@@ -5,9 +5,10 @@ use rfsim_numerics::complex::{cdot, cnorm2};
 use rfsim_numerics::dense::Mat;
 use rfsim_numerics::fft::{dft, fft_pow2, idft, ifft_pow2};
 use rfsim_numerics::krylov::{gmres, IdentityPrecond, KrylovOptions};
-use rfsim_numerics::sparse::{Csr, Triplets};
+use rfsim_numerics::sparse::{Csr, SparseLu, Triplets};
 use rfsim_numerics::svd::Svd;
 use rfsim_numerics::Complex;
+use std::collections::BTreeMap;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
     (-1e3f64..1e3).prop_filter("nonzero-ish", |x| x.abs() > 1e-9 || *x == 0.0)
@@ -87,8 +88,119 @@ fn cancelling_zero_diagonal_matrix() -> impl Strategy<Value = Csr<f64>> {
     })
 }
 
+/// `vals` stored at `positions` of an `n × n` matrix, every position
+/// kept (exact zeros included), after the diagonal is scaled by
+/// `diag_scale` and the entry of column `j` in row `dominant(j)` is set
+/// to 1 + Σ|the column's other entries|: a nonsingular matrix whose
+/// elimination with those pivots never loses column dominance.
+fn dominant_draw(
+    n: usize,
+    positions: &[(usize, usize)],
+    vals: &[Complex],
+    diag_scale: f64,
+    dominant: impl Fn(usize) -> usize,
+) -> Csr<Complex> {
+    let mut v: Vec<Complex> = positions
+        .iter()
+        .zip(vals)
+        .map(|(&(i, j), &z)| if i == j { z.scale(diag_scale) } else { z })
+        .collect();
+    let mut others = vec![0.0; n];
+    for (&(i, j), z) in positions.iter().zip(&v) {
+        if i != dominant(j) {
+            others[j] += z.abs();
+        }
+    }
+    let mut t = Triplets::new(n, n);
+    for (&(i, j), z) in positions.iter().zip(&mut v) {
+        if i == dominant(j) {
+            *z = Complex::new(1.0 + others[j], z.im);
+        }
+        t.push(i, j, *z);
+    }
+    t.to_pattern().0
+}
+
+/// One complex sparse pattern — the diagonal, the cyclic superdiagonal
+/// `(i, i + 1 mod n)` and random extra positions — and three value draws
+/// on it: `a`, dominant on the diagonal, with each flagged extra position
+/// exactly zero; `b`, dominant on the diagonal, with no zero; `c`,
+/// dominant on the superdiagonal, with a diagonal that is zero or 10⁻⁶ of
+/// its draw.
+fn shared_pattern_draws() -> impl Strategy<Value = [Csr<Complex>; 3]> {
+    (2usize..25).prop_flat_map(|n| {
+        (
+            Just(n),
+            proptest::collection::vec((0..n, 0..n, 0usize..2), 0..3 * n),
+            proptest::collection::vec((-1.0f64..1.0, -1.0f64..1.0), 15 * n),
+            0usize..2,
+        )
+            .prop_map(|(n, extra, vals, tiny)| {
+                let mut zeroed = BTreeMap::new();
+                for i in 0..n {
+                    zeroed.insert((i, i), false);
+                    zeroed.insert((i, (i + 1) % n), false);
+                }
+                for &(i, j, flag) in &extra {
+                    zeroed.entry((i, j)).or_insert(flag == 1);
+                }
+                let positions: Vec<(usize, usize)> = zeroed.keys().copied().collect();
+                let vals: Vec<Complex> =
+                    vals.iter().map(|&(re, im)| Complex::new(re, im)).collect();
+                let m = positions.len();
+                let a_vals: Vec<Complex> = zeroed
+                    .values()
+                    .zip(&vals)
+                    .map(|(&z, &v)| if z { Complex::ZERO } else { v })
+                    .collect();
+                let diag = |j: usize| j;
+                let superdiag = |j: usize| (j + n - 1) % n;
+                [
+                    dominant_draw(n, &positions, &a_vals, 1.0, diag),
+                    dominant_draw(n, &positions, &vals[m..2 * m], 1.0, diag),
+                    dominant_draw(n, &positions, &vals[2 * m..], 1e-6 * tiny as f64, superdiag),
+                ]
+            })
+    })
+}
+
+/// Checks `solve` and `solve_transposed` of `lu` against the dense LU of
+/// `a` and of `aᵀ`.
+fn agrees_with_dense(lu: &SparseLu<Complex>, a: &Csr<Complex>) -> Result<(), String> {
+    let n = a.rows();
+    let b: Vec<Complex> = (0..n).map(|i| Complex::new((i as f64 * 0.61).cos(), 0.5)).collect();
+    let pairs = [
+        (lu.solve(&b).unwrap(), a.to_dense().solve(&b).unwrap()),
+        (lu.solve_transposed(&b).unwrap(), a.transpose().to_dense().solve(&b).unwrap()),
+    ];
+    for (got, want) in &pairs {
+        for (g, w) in got.iter().zip(want) {
+            prop_assert!((*g - *w).abs() < 1e-9 * (1.0 + w.abs()), "{g:?} vs dense {w:?}");
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Factors refactored on another draw's analysis solve as a fresh
+    /// factorization and the dense LU do: `b` reuses `a`'s analysis
+    /// although some of its positions are exactly zero in `a`, and `c`,
+    /// whose pivots fail the threshold, falls back to an analysis of
+    /// its own.
+    #[test]
+    fn refactored_sparse_lu_matches_fresh_and_dense([a, b, c] in shared_pattern_draws()) {
+        let lu = a.lu().map_err(|e| format!("analysis: {e}"))?;
+        agrees_with_dense(&lu, &a)?;
+        let refactored = lu.refactor(&b).map_err(|e| format!("refactor: {e}"))?;
+        prop_assert!(refactored.shares_analysis(&lu), "a column-dominant draw fell back");
+        agrees_with_dense(&refactored, &b)?;
+        agrees_with_dense(&b.lu().unwrap(), &b)?;
+        let fallback = lu.refactor(&c).map_err(|e| format!("fallback: {e}"))?;
+        prop_assert!(!fallback.shares_analysis(&lu), "a failing pivot was kept");
+        agrees_with_dense(&fallback, &c)?;
+    }
 
     /// Exact cancellation leaves zeros in L's structure; the factors must
     /// still solve with `A` and `Aᵀ` as the dense LU does.

@@ -166,7 +166,7 @@ impl Harness {
 
     /// Ends the run: flushes the env-selected sink (if any), writes
     /// `BENCH_<id>.json`, and returns the process exit code — nonzero
-    /// if any failure was recorded.
+    /// if any failure was recorded or the artifact could not be written.
     pub fn finish(self) -> ExitCode {
         let wall_seconds = self.t0.elapsed().as_secs_f64();
         if self.env_sink {
@@ -199,14 +199,20 @@ impl Harness {
         };
         let dir = std::env::var(BENCH_DIR_VAR).unwrap_or_else(|_| ".".to_string());
         let path = std::path::Path::new(&dir).join(BenchArtifact::file_name(&self.id));
-        match std::fs::write(&path, artifact.to_json().to_string_pretty()) {
-            Ok(()) => eprintln!("bench: wrote {}", path.display()),
-            Err(e) => eprintln!("bench: failed to write {}: {e}", path.display()),
-        }
-        if self.failure.is_some() {
-            ExitCode::FAILURE
-        } else {
+        let written = match std::fs::write(&path, artifact.to_json().to_string_pretty()) {
+            Ok(()) => {
+                eprintln!("bench: wrote {}", path.display());
+                true
+            }
+            Err(e) => {
+                eprintln!("bench: failed to write {}: {e}", path.display());
+                false
+            }
+        };
+        if written && self.failure.is_none() {
             ExitCode::SUCCESS
+        } else {
+            ExitCode::FAILURE
         }
     }
 }

@@ -169,6 +169,17 @@ fn failed_run_exits_nonzero_but_still_writes_artifact() {
 }
 
 #[test]
+fn unwritable_artifact_exits_nonzero() {
+    in_temp_bench_dir("unwritable", |dir| {
+        let missing = dir.join("missing");
+        std::env::set_var(BENCH_DIR_VAR, &missing);
+        let code = Harness::new("e95").finish();
+        assert_eq!(code, std::process::ExitCode::FAILURE);
+        assert!(!missing.join("BENCH_e95.json").exists());
+    });
+}
+
+#[test]
 fn report_flags_wall_regression_past_threshold() {
     let thresholds = Thresholds::default();
     let old = vec![sample_artifact("e01", 1.0)];

@@ -19,13 +19,13 @@ use crate::fourier::{GridWorkspace, SpectralGrid};
 use crate::{Error, Result};
 use rfsim_circuit::dae::Dae;
 use rfsim_circuit::dc::{dc_operating_point, DcOptions};
-use rfsim_numerics::dense::{LuSingle, Mat};
+use rfsim_numerics::dense::Mat;
 use rfsim_numerics::fft::{self, FftPlan, FftScratch};
 use rfsim_numerics::krylov::{
     gmres_with, FnOperator, GmresWorkspace, IdentityPrecond, KrylovOptions, Preconditioner,
     RecycleSpace,
 };
-use rfsim_numerics::sparse::{Csr, Triplets};
+use rfsim_numerics::sparse::{Csr, SparseLu, Triplets};
 use rfsim_numerics::{norm_inf, AlignedVec, Complex, ResidualTail};
 use rfsim_parallel as parallel;
 use rfsim_telemetry as telemetry;
@@ -118,7 +118,8 @@ pub struct HbStats {
     /// (dense Jacobian vs Krylov basis + preconditioner factors).
     pub solver_bytes: usize,
     /// Harmonic-block preconditioner factorizations performed (each one
-    /// is `samples()` complex LU factorizations).
+    /// analyses one bin's sparse block and refactors the other
+    /// `samples() − 1` on that analysis).
     pub precond_factorizations: usize,
 }
 
@@ -270,20 +271,17 @@ fn apply_jacobian(
 /// Per-harmonic block-diagonal preconditioner: solves
 /// `(Ḡ + jω_k·C̄)·ẑ_k = r̂_k` in the frequency domain using the
 /// sample-averaged linearizations.
+///
+/// Every bin's block has the sparsity of `Ḡ` and `C̄` together, so one
+/// bin is analysed by a sparse LU and the others are refactored on that
+/// analysis, sharing its order, pivot sequence and factor pattern.
 struct HarmonicBlockPrecond {
     grid: SpectralGrid,
     n: usize,
     /// Factored complex blocks, one per frequency bin (row-major over axes).
-    blocks: Vec<rfsim_numerics::dense::Lu<Complex>>,
-    /// Single-precision shadows of `blocks`, present (for every bin, or
-    /// none) only under SIMD dispatch. The per-bin triangular solves are
-    /// memory-traffic-bound once the factor set outgrows L2, so halving
-    /// the stored bytes is worth more than wider arithmetic; the
-    /// substitution still accumulates in f64 and the outer Newton/GMRES
-    /// iterations converge on the true residual, so the narrowing never
-    /// shows up in final accuracy. Empty under `RFSIM_SIMD=off`, keeping
-    /// the scalar path bitwise-identical to the historical solver.
-    blocks_f32: Vec<rfsim_numerics::dense::LuSingle>,
+    blocks: Vec<SparseLu<Complex>>,
+    /// Resident bytes of `blocks`: every bin's values, each analysis once.
+    bytes: usize,
     /// Reusable apply buffers. `Preconditioner::apply` takes `&self`, so
     /// interior mutability is required; a `Mutex` (not a `RefCell`) keeps
     /// the type `Sync` for the `par_bins` closures, which borrow `self` on
@@ -319,71 +317,100 @@ impl PrecondScratch {
 /// GMRES iteration costs more than the solves themselves.
 const PRECOND_PAR_MIN_UNKNOWNS: usize = 4096;
 
+/// The sample averages `Ḡ` and `C̄` on the union of every sample's `G`
+/// and `C` pattern: a complex matrix of that pattern (explicit zeros
+/// kept) and both averages in its value order.
+fn averaged_linearization(lins: &[SampleLin], n: usize) -> (Csr<Complex>, Vec<f64>, Vec<f64>) {
+    // Row by row, each position found accumulates in discovery order:
+    // column j of row i sits at `at[j]` once `row[j] == i`.
+    let mut t = Triplets::new(n, n);
+    let mut sums: Vec<(f64, f64)> = Vec::new();
+    let (mut row, mut at) = (vec![usize::MAX; n], vec![0; n]);
+    for i in 0..n {
+        for lin in lins {
+            for (m, is_c) in [(&lin.g, false), (&lin.c, true)] {
+                let (cols, vals) = m.row(i);
+                for (&j, &v) in cols.iter().zip(vals) {
+                    if row[j] != i {
+                        row[j] = i;
+                        at[j] = sums.len();
+                        t.push(i, j, Complex::ZERO);
+                        sums.push((0.0, 0.0));
+                    }
+                    let sum = &mut sums[at[j]];
+                    if is_c {
+                        sum.1 += v;
+                    } else {
+                        sum.0 += v;
+                    }
+                }
+            }
+        }
+    }
+    let (pattern, slots) = t.to_pattern();
+    let scale = 1.0 / lins.len() as f64;
+    let (mut gbar, mut cbar) = (vec![0.0; sums.len()], vec![0.0; sums.len()]);
+    for (&(g, c), &slot) in sums.iter().zip(&slots) {
+        gbar[slot] = g * scale;
+        cbar[slot] = c * scale;
+    }
+    (pattern, gbar, cbar)
+}
+
 impl HarmonicBlockPrecond {
     fn new(grid: &SpectralGrid, lins: &[SampleLin], n: usize) -> Result<Self> {
         let total = grid.samples();
         // Average G and C over the samples (the DC Fourier component of the
         // time-varying linearization).
-        let mut gbar: Mat<f64> = Mat::zeros(n, n);
-        let mut cbar: Mat<f64> = Mat::zeros(n, n);
-        for lin in lins {
-            for (i, j, v) in lin.g.iter() {
-                gbar[(i, j)] += v;
-            }
-            for (i, j, v) in lin.c.iter() {
-                cbar[(i, j)] += v;
-            }
-        }
-        gbar.scale_mut(1.0 / total as f64);
-        cbar.scale_mut(1.0 / total as f64);
-        // Each bin's complex block (Ḡ + jω_k·C̄) factors independently.
-        let lus = parallel::par_map_indexed(total, |bin| {
+        let (mut block, gbar, cbar) = averaged_linearization(lins, n);
+        let set_bin = |block: &mut Csr<Complex>, bin: usize| {
             let omega = 2.0 * std::f64::consts::PI * bin_mix_freq(grid, bin);
-            let m = Mat::from_fn(n, n, |i, j| Complex::new(gbar[(i, j)], omega * cbar[(i, j)]));
-            m.lu()
-        });
-        let mut blocks = Vec::with_capacity(total);
-        for lu in lus {
-            blocks.push(lu.map_err(Error::Numerics)?);
-        }
-        // Narrow the factors for the SIMD apply path; all-or-nothing so a
-        // single overflowing block falls the whole preconditioner back to
-        // full precision rather than mixing per-bin accuracy.
-        let mut blocks_f32 = Vec::new();
-        if rfsim_numerics::kernels::simd_active() {
-            blocks_f32.reserve(total);
-            for lu in &blocks {
-                match lu.to_single() {
-                    Some(s) => blocks_f32.push(s),
-                    None => {
-                        blocks_f32.clear();
-                        break;
-                    }
-                }
+            for ((v, &g), &c) in block.vals_mut().iter_mut().zip(&gbar).zip(&cbar) {
+                *v = Complex::new(g, omega * c);
             }
+        };
+        // Analyse the first bin with ω ≠ 0. At DC an inductor's branch row
+        // has a zero diagonal, and an analysis pivoting around it would
+        // fail every other bin's pivots; this way DC alone falls back.
+        let anchor = (0..total).find(|&bin| bin_mix_freq(grid, bin) != 0.0).unwrap_or(0);
+        set_bin(&mut block, anchor);
+        let analysed = block.lu().map_err(Error::Numerics)?;
+        let mut blocks = Vec::with_capacity(total);
+        for bin in 0..total {
+            blocks.push(if bin == anchor {
+                analysed.clone()
+            } else {
+                set_bin(&mut block, bin);
+                analysed.refactor(&block).map_err(Error::Numerics)?
+            });
         }
+        let bytes = analysed.analysis_bytes()
+            + blocks
+                .iter()
+                .map(|lu| {
+                    let own = if lu.shares_analysis(&analysed) { 0 } else { lu.analysis_bytes() };
+                    lu.value_bytes() + own
+                })
+                .sum::<usize>();
         telemetry::counter_add("hb.precond.factorizations", 1);
         Ok(HarmonicBlockPrecond {
             grid: grid.clone(),
             n,
             blocks,
-            blocks_f32,
+            bytes,
             scratch: Mutex::new(PrecondScratch::new(grid)),
         })
     }
 
     fn bytes(&self) -> usize {
-        self.blocks.len() * self.n * self.n * 16
-            + self.blocks_f32.iter().map(LuSingle::bytes).sum::<usize>()
+        self.bytes
     }
 
     /// The one apply executor: batched strided transforms over the
-    /// scratch field, per-bin block solves, inverse transforms. Each bin
-    /// solves against the narrowed [`LuSingle`] factors when they exist
-    /// (SIMD dispatch) and the f64 factors otherwise. `par_bins` fans the
-    /// bin solves out over the worker pool, index-ordered, so the result
-    /// is bitwise the same for every thread count; without it the apply
-    /// is allocation-free.
+    /// scratch field, per-bin sparse block solves, inverse transforms.
+    /// `par_bins` fans the bin solves out over the worker pool,
+    /// index-ordered, so the result is bitwise the same for every thread
+    /// count; without it the apply is allocation-free.
     fn apply_batched(
         &self,
         r: &[f64],
@@ -417,11 +444,7 @@ impl HarmonicBlockPrecond {
         if par_bins {
             let spec = &ws.spec;
             let sols = parallel::par_map_indexed(total, move |bin| {
-                let rhs = &spec[bin * n..(bin + 1) * n];
-                match self.blocks_f32.get(bin) {
-                    Some(lu32) => lu32.solve(rhs),
-                    None => self.blocks[bin].solve(rhs),
-                }
+                self.blocks[bin].solve(&spec[bin * n..(bin + 1) * n])
             });
             for (bin, sol) in sols.into_iter().enumerate() {
                 ws.spec[bin * n..(bin + 1) * n].copy_from_slice(&sol?);
@@ -429,14 +452,10 @@ impl HarmonicBlockPrecond {
         } else {
             ws.sol.clear();
             ws.sol.resize(n, Complex::ZERO);
-            for bin in 0..total {
-                let rhs_range = bin * n..(bin + 1) * n;
-                if let Some(lu32) = self.blocks_f32.get(bin) {
-                    lu32.solve_into(&ws.spec[rhs_range.clone()], &mut ws.sol)?;
-                } else {
-                    self.blocks[bin].solve_into(&ws.spec[rhs_range.clone()], &mut ws.sol)?;
-                }
-                ws.spec[rhs_range].copy_from_slice(&ws.sol);
+            for (bin, lu) in self.blocks.iter().enumerate() {
+                let rhs = &mut ws.spec[bin * n..(bin + 1) * n];
+                lu.solve_into(rhs, &mut ws.sol)?;
+                rhs.copy_from_slice(&ws.sol);
             }
         }
         drop(_span_trsv);
@@ -651,8 +670,11 @@ fn newton_hb(
     let mut first_inner: Option<usize> = None;
     let mut flagged_precond = false;
     let mut last_res = f64::INFINITY;
+    // The residual and linearizations at `x` when the line search already
+    // assembled them (`assemble` is a pure function of `x`).
+    let mut at_x: Option<(Vec<f64>, Vec<SampleLin>)> = None;
     for it in 0..opts.max_newton {
-        let (r, lins) = assemble(dae, grid, x, b, cache);
+        let (r, lins) = at_x.take().unwrap_or_else(|| assemble(dae, grid, x, b, cache));
         let res = norm_inf(&r);
         last_res = res;
         trace.push(res);
@@ -803,9 +825,10 @@ fn newton_hb(
         let mut improved = false;
         for _ in 0..8 {
             let xt: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi - alpha * di).collect();
-            let (rt, _) = assemble(dae, grid, &xt, b, cache);
-            if norm_inf(&rt).is_finite() && norm_inf(&rt) < res {
+            let trial = assemble(dae, grid, &xt, b, cache);
+            if norm_inf(&trial.0).is_finite() && norm_inf(&trial.0) < res {
                 *x = xt;
+                at_x = Some(trial);
                 improved = true;
                 break;
             }
@@ -818,7 +841,7 @@ fn newton_hb(
         }
     }
     // Final check.
-    let (r, _) = assemble(dae, grid, x, b, cache);
+    let (r, _) = at_x.unwrap_or_else(|| assemble(dae, grid, x, b, cache));
     let final_res = norm_inf(&r);
     trace.push(final_res);
     monitor.observe(final_res);
