@@ -414,6 +414,11 @@ impl FftScratch {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Heap bytes the scratch holds, by capacity.
+    pub fn bytes(&self) -> usize {
+        (self.work.capacity() + self.line.capacity()) * std::mem::size_of::<Complex>()
+    }
 }
 
 /// An execution plan for DFTs of one fixed length: cached twiddle

@@ -303,6 +303,25 @@ impl<T: Copy> GmresWorkspace<T> {
     pub fn new() -> Self {
         Self::default()
     }
+
+    /// Heap bytes the workspace holds, by capacity: what dropping it
+    /// frees. A warm GMRES(m) workspace of dimension `n` holds up to
+    /// `m + 1` basis vectors and an `(m + 1) × m` Hessenberg matrix.
+    pub fn bytes(&self) -> usize {
+        let arena = [&self.zb, &self.work, &self.r, &self.z, &self.w]
+            .into_iter()
+            .chain(&self.v)
+            .map(AlignedVec::capacity)
+            .sum::<usize>();
+        let small = [&self.cs, &self.sn, &self.g, &self.y]
+            .into_iter()
+            .chain(&self.h)
+            .map(Vec::capacity)
+            .sum::<usize>();
+        (arena + small) * std::mem::size_of::<T>()
+            + self.v.capacity() * std::mem::size_of::<AlignedVec<T>>()
+            + self.h.capacity() * std::mem::size_of::<Vec<T>>()
+    }
 }
 
 /// Zero-fills `buf` at length `n`, reusing its allocation.

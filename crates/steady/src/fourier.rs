@@ -12,7 +12,7 @@
 use crate::{Error, Result};
 use rfsim_circuit::dae::TwoTime;
 use rfsim_numerics::fft::{self, FftPlan, FftScratch};
-use rfsim_numerics::Complex;
+use rfsim_numerics::{AlignedVec, Complex};
 use std::cell::RefCell;
 use std::sync::Arc;
 
@@ -114,10 +114,17 @@ impl SpectralGrid {
     /// Builds a reusable [`GridWorkspace`] for repeated spectral
     /// operations on this grid (see [`SpectralGrid::add_dt_with`]).
     pub fn workspace(&self) -> GridWorkspace {
+        let (slow, fast) = match self.axes.as_slice() {
+            [ax] => (None, ax),
+            [a0, a1] => (Some(a0), a1),
+            _ => unreachable!("grids have 1 or 2 axes"),
+        };
         GridWorkspace {
-            samples: self.samples(),
-            plans: self.axes.iter().map(|ax| fft::plan(ax.samples())).collect(),
-            cfield: Vec::new(),
+            shape: (slow.map_or(1, ToneAxis::samples), fast.samples()),
+            slow: slow.map(|ax| fft::plan(ax.samples())),
+            fast: fft::plan(fast.samples()),
+            time: AlignedVec::new(),
+            spec: AlignedVec::new(),
             scratch: FftScratch::new(),
         }
     }
@@ -125,20 +132,13 @@ impl SpectralGrid {
     /// Applies the spectral time-derivative operator to a sample-major
     /// field of `n` unknowns: `out[s·n+i] += Σ_axes (∂/∂t_axis field)`.
     ///
-    /// Convenience wrapper over [`SpectralGrid::add_dt_with`] that builds
-    /// a throwaway workspace.
-    ///
-    /// # Panics
-    /// Panics if the slice lengths do not equal `samples()·n`.
-    pub fn add_dt(&self, field: &[f64], out: &mut [f64], n: usize) {
-        let mut ws = self.workspace();
-        self.add_dt_with(field, out, n, &mut ws);
-    }
-
-    /// [`SpectralGrid::add_dt`] against a caller-owned workspace: all
-    /// lines of an axis go through one batched strided transform over the
-    /// workspace's complex field, so a warm workspace performs zero heap
-    /// allocation. Results are bitwise identical to the per-line path.
+    /// The field is real and the operator `D` is real and linear, so two
+    /// unknowns share one complex transform (Numerical Recipes §12.3):
+    /// the workspace packs unknowns `i` and `i + ⌈n/2⌉` of each sample as
+    /// `a + j·b`, and `D(a + j·b) = D(a) + j·D(b)`. One 2-D forward
+    /// transform, a scale of each bin by `j(k₀ω₀ + k₁ω₁)` and one inverse
+    /// transform differentiate every unknown. A warm workspace performs
+    /// zero heap allocation.
     ///
     /// # Panics
     /// Panics if the slice lengths do not equal `samples()·n` or the
@@ -147,43 +147,54 @@ impl SpectralGrid {
         let total = self.samples();
         assert_eq!(field.len(), total * n, "add_dt: field length");
         assert_eq!(out.len(), total * n, "add_dt: out length");
-        assert_eq!(ws.samples, total, "add_dt: workspace grid mismatch");
-        let GridWorkspace { plans, cfield, scratch, .. } = ws;
-        match self.axes.len() {
-            1 => {
-                let ax = self.axes[0];
-                let ns = ax.samples();
-                let omega = 2.0 * std::f64::consts::PI * ax.freq;
-                complexify(field, cfield);
-                plans[0].forward_strided(cfield, n, n, scratch);
-                scale_bins(cfield, ns, n, omega);
-                plans[0].inverse_strided(cfield, n, n, scratch);
-                accumulate_re(cfield, out);
+        assert_eq!(ws.shape.0 * ws.shape.1, total, "add_dt: workspace grid mismatch");
+        ws.pack(field, n);
+        ws.forward();
+        let width = packed_width(n);
+        let spec = ws.spectrum_mut();
+        for bin in 0..total {
+            let w = self.bin_omega(bin);
+            for c in &mut spec[bin * width..(bin + 1) * width] {
+                *c = Complex::new(-w * c.im, w * c.re);
             }
-            2 => {
-                let (a0, a1) = (self.axes[0], self.axes[1]);
-                let (n0, n1) = (a0.samples(), a1.samples());
-                let w0 = 2.0 * std::f64::consts::PI * a0.freq;
-                let w1 = 2.0 * std::f64::consts::PI * a1.freq;
-                // Axis 1 (fast): per-i0 blocks of n1 contiguous samples.
-                complexify(field, cfield);
-                for i0 in 0..n0 {
-                    let block = &mut cfield[i0 * n1 * n..(i0 + 1) * n1 * n];
-                    plans[1].forward_strided(block, n, n, scratch);
-                    scale_bins(block, n1, n, w1);
-                    plans[1].inverse_strided(block, n, n, scratch);
-                }
-                accumulate_re(cfield, out);
-                // Axis 0 (slow): strided lines over the whole field, read
-                // from the original samples again.
-                complexify(field, cfield);
-                plans[0].forward_strided(cfield, n1 * n, n1 * n, scratch);
-                scale_bins(cfield, n0, n1 * n, w0);
-                plans[0].inverse_strided(cfield, n1 * n, n1 * n, scratch);
-                accumulate_re(cfield, out);
-            }
-            _ => unreachable!(),
         }
+        ws.inverse();
+        ws.unpack(out, n, |o, v| *o += v);
+    }
+
+    /// Angular frequency `2π·Σ k_axis·f_axis` of the flat spectral bin
+    /// `bin`. Bins are row-major over axes, like the samples; bin `b` of
+    /// an axis holds harmonic `b` for `b ≤ H`, else `b − (2H+1)`.
+    pub(crate) fn bin_omega(&self, bin: usize) -> f64 {
+        let mut stride = self.samples();
+        let mut freq = 0.0;
+        for ax in &self.axes {
+            let ns = ax.samples();
+            stride /= ns;
+            freq += signed_harmonic(bin / stride % ns, ns) as f64 * ax.freq;
+        }
+        2.0 * std::f64::consts::PI * freq
+    }
+
+    /// The flat bin of harmonic `−k` when `bin` holds `k`. A real field's
+    /// coefficient there is the conjugate of its coefficient at `bin`.
+    pub(crate) fn conj_bin(&self, bin: usize) -> usize {
+        let mut stride = self.samples();
+        let mut conj = 0;
+        for ax in &self.axes {
+            let ns = ax.samples();
+            stride /= ns;
+            conj += (ns - bin / stride % ns) % ns * stride;
+        }
+        conj
+    }
+
+    /// The non-negative half of the spectrum: every bin `k` whose flat
+    /// index is at most that of `−k`, paired with the bin of `−k`. Axis
+    /// sizes are odd, so DC is the only self-conjugate bin and the half
+    /// holds `(samples() + 1)/2` bins.
+    pub(crate) fn half_spectrum(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        (0..self.samples()).map(|bin| (bin, self.conj_bin(bin))).filter(|&(k, kc)| k <= kc)
     }
 
     /// Fourier coefficient of one unknown's waveform at the mix index
@@ -244,45 +255,139 @@ impl SpectralGrid {
 }
 
 /// Reusable planned-transform workspace for one grid shape: the per-axis
-/// [`FftPlan`]s, the complexified field buffer, and the transform
-/// scratch. Build once via [`SpectralGrid::workspace`] and reuse across
-/// [`SpectralGrid::add_dt_with`] calls; the buffers are sized on first
-/// use and never reallocated afterwards.
+/// [`FftPlan`]s, the real-packed field and its spectrum, and the
+/// transform scratch. Build once via [`SpectralGrid::workspace`] and
+/// reuse across [`SpectralGrid::add_dt_with`] calls; the buffers are
+/// sized on first use and never reallocated afterwards.
+///
+/// A sample-major real field of `n` unknowns packs into `⌈n/2⌉` complex
+/// columns: column `i` of sample `s` is `x[s·n+i] + j·x[s·n+i+⌈n/2⌉]`. For
+/// odd `n` the last column's imaginary part belongs to no unknown; it is
+/// packed as zero and never read back.
+///
+/// Each axis transforms as one strided batch. The time-domain field
+/// keeps the fast axis outermost (row `s₁·n₀ + s₀` holds sample
+/// `(s₀, s₁)`), so the fast axis runs over rows of all `n₀·⌈n/2⌉`
+/// columns at once; one transpose between the axes then leaves the
+/// spectrum row-major over axes, the slow axis outermost, where the slow
+/// axis runs the same way. A one-axis grid is the fast axis alone
+/// (`n₀ = 1`), and its transformed field is the spectrum as it stands.
 #[derive(Debug)]
 pub struct GridWorkspace {
-    samples: usize,
-    /// One plan per axis, axis 0 first.
-    plans: Vec<Arc<FftPlan>>,
-    cfield: Vec<Complex>,
+    /// Samples along the slow and the fast axis.
+    shape: (usize, usize),
+    slow: Option<Arc<FftPlan>>,
+    fast: Arc<FftPlan>,
+    /// The packed time-domain field, fast axis outermost; 32-byte
+    /// aligned, like `spec`, for the SIMD transform kernels.
+    time: AlignedVec<Complex>,
+    /// The packed spectrum, one row per flat bin.
+    spec: AlignedVec<Complex>,
     scratch: FftScratch,
 }
 
-/// Fills `cfield` with the complexification of `field`, reusing its
-/// allocation.
-fn complexify(field: &[f64], cfield: &mut Vec<Complex>) {
-    cfield.clear();
-    cfield.extend(field.iter().map(|&x| Complex::from_re(x)));
+impl GridWorkspace {
+    /// Packs the sample-major real `field` of `n` unknowns.
+    pub(crate) fn pack(&mut self, field: &[f64], n: usize) {
+        let width = packed_width(n);
+        let (n0, n1) = self.shape;
+        self.time.resize(n0 * n1 * width, Complex::ZERO);
+        self.spec.resize(n0 * n1 * width, Complex::ZERO);
+        for (s0, s1) in (0..n0).flat_map(|s0| (0..n1).map(move |s1| (s0, s1))) {
+            let s = s0 * n1 + s1;
+            let (a, b) = field[s * n..(s + 1) * n].split_at(width);
+            let at = (s1 * n0 + s0) * width;
+            for (i, c) in self.time[at..at + width].iter_mut().enumerate() {
+                *c = Complex::new(a[i], b.get(i).copied().unwrap_or(0.0));
+            }
+        }
+    }
+
+    /// Unpacks into the sample-major real `out` of `n` unknowns, combining
+    /// each unknown's value `v` into its slot `o` by `put(o, v)`.
+    pub(crate) fn unpack(&self, out: &mut [f64], n: usize, put: impl Fn(&mut f64, f64)) {
+        let width = packed_width(n);
+        let (n0, n1) = self.shape;
+        for (s0, s1) in (0..n0).flat_map(|s0| (0..n1).map(move |s1| (s0, s1))) {
+            let s = s0 * n1 + s1;
+            let (a, b) = out[s * n..(s + 1) * n].split_at_mut(width);
+            let at = (s1 * n0 + s0) * width;
+            let row = &self.time[at..at + width];
+            for (o, c) in a.iter_mut().zip(row) {
+                put(o, c.re);
+            }
+            for (o, c) in b.iter_mut().zip(row) {
+                put(o, c.im);
+            }
+        }
+    }
+
+    /// Forward transform of the packed field into the spectrum.
+    pub(crate) fn forward(&mut self) {
+        let (n0, n1) = self.shape;
+        let width = self.time.len() / (n0 * n1);
+        self.fast.forward_strided(&mut self.time, n0 * width, n0 * width, &mut self.scratch);
+        match &self.slow {
+            Some(slow) => {
+                transpose_blocks(&self.time, &mut self.spec, n1, n0, width);
+                slow.forward_strided(&mut self.spec, n1 * width, n1 * width, &mut self.scratch);
+            }
+            // One axis: the fast-axis spectrum already is the spectrum.
+            None => std::mem::swap(&mut self.time, &mut self.spec),
+        }
+    }
+
+    /// Inverse transform of the spectrum back into the packed field.
+    pub(crate) fn inverse(&mut self) {
+        let (n0, n1) = self.shape;
+        let width = self.spec.len() / (n0 * n1);
+        match &self.slow {
+            Some(slow) => {
+                slow.inverse_strided(&mut self.spec, n1 * width, n1 * width, &mut self.scratch);
+                transpose_blocks(&self.spec, &mut self.time, n0, n1, width);
+            }
+            None => std::mem::swap(&mut self.time, &mut self.spec),
+        }
+        self.fast.inverse_strided(&mut self.time, n0 * width, n0 * width, &mut self.scratch);
+    }
+
+    /// The packed spectrum: after [`GridWorkspace::forward`] row `b` holds
+    /// flat bin `b` (see [`SpectralGrid::bin_omega`]), and
+    /// [`GridWorkspace::inverse`] reads it back from here.
+    pub(crate) fn spectrum_mut(&mut self) -> &mut [Complex] {
+        &mut self.spec
+    }
+
+    /// Heap bytes the workspace holds, by capacity. The plans are shared
+    /// process-wide and not counted.
+    pub(crate) fn bytes(&self) -> usize {
+        (self.time.capacity() + self.spec.capacity()) * std::mem::size_of::<Complex>()
+            + self.scratch.bytes()
+    }
 }
 
-/// Multiplies each harmonic bin of a bin-major spectrum by `jkω`: chunk
-/// `b` of length `chunk` holds every line's bin `b`, and bin `b` maps to
-/// harmonic `k = b` for `b ≤ H`, else `b − ns` (odd `ns`, no Nyquist
-/// term).
-fn scale_bins(data: &mut [Complex], ns: usize, chunk: usize, omega: f64) {
-    let h = ns / 2;
-    for b in 0..ns {
-        let k = if b <= h { b as i64 } else { b as i64 - ns as i64 };
-        let jkw = Complex::new(0.0, k as f64 * omega);
-        for c in &mut data[b * chunk..(b + 1) * chunk] {
-            *c *= jkw;
+/// Copies `src`, a `rows × cols` grid of blocks of `width` values, into
+/// `dst` transposed: block `(r, c)` lands at block `(c, r)`.
+fn transpose_blocks(src: &[Complex], dst: &mut [Complex], rows: usize, cols: usize, width: usize) {
+    for r in 0..rows {
+        for c in 0..cols {
+            let (from, to) = ((r * cols + c) * width, (c * rows + r) * width);
+            dst[to..to + width].copy_from_slice(&src[from..from + width]);
         }
     }
 }
 
-/// Accumulates the real parts of `cfield` into `out`.
-fn accumulate_re(cfield: &[Complex], out: &mut [f64]) {
-    for (o, c) in out.iter_mut().zip(cfield) {
-        *o += c.re;
+/// Complex columns of the packed form of `n` real unknowns: `⌈n/2⌉`.
+pub(crate) fn packed_width(n: usize) -> usize {
+    n.div_ceil(2)
+}
+
+/// Harmonic of bin `b` on an axis of `ns` (odd) samples.
+fn signed_harmonic(b: usize, ns: usize) -> i64 {
+    if b <= ns / 2 {
+        b as i64
+    } else {
+        b as i64 - ns as i64
     }
 }
 
@@ -328,7 +433,7 @@ mod tests {
         // Field with n = 1 unknown: sin(ωt).
         let field: Vec<f64> = (0..ns).map(|s| (omega * g.time(s).t1).sin()).collect();
         let mut out = vec![0.0; ns];
-        g.add_dt(&field, &mut out, 1);
+        g.add_dt_with(&field, &mut out, 1, &mut g.workspace());
         for s in 0..ns {
             let expect = omega * (omega * g.time(s).t1).cos();
             assert!((out[s] - expect).abs() < 1e-6 * omega, "s={s}: {} vs {expect}", out[s]);
@@ -393,12 +498,118 @@ mod tests {
             })
             .collect();
         let mut out = vec![0.0; g.samples()];
-        g.add_dt(&field, &mut out, 1);
+        g.add_dt_with(&field, &mut out, 1, &mut g.workspace());
         for s in 0..g.samples() {
             let t = g.time(s);
             let expect = w1 * (w1 * t.t1).cos() * (w2 * t.t2).sin()
                 + w2 * (w1 * t.t1).sin() * (w2 * t.t2).cos();
             assert!((out[s] - expect).abs() < 1e-6 * w2, "s={s}");
+        }
+    }
+
+    /// Amplitude of unknown `i` in the packing tests: pairs of the
+    /// packed form hold lines up to nine decades apart.
+    const AMPS: [f64; 5] = [1e3, 1e-2, 1e-6, 1.0, 1e-4];
+
+    /// Checks `add_dt_with` on `n` unknowns, each its own waveform
+    /// `x_i` with derivative `dx_i` (both at the sample's time), against
+    /// `out` preloaded with ones, so the result must be accumulated.
+    ///
+    /// The bound: unknown `i` shares a complex transform with unknown
+    /// `i ± ⌈n/2⌉`, and rounding in that transform is relative to the
+    /// larger of the two lines. So each unknown must match its analytic
+    /// derivative within `1e-12·Ω·max(A_i, A_pair)`, where `A` is the
+    /// lines' amplitude and `Ω` the grid's top angular frequency.
+    fn check_packed_derivative(
+        g: &SpectralGrid,
+        n: usize,
+        x: impl Fn(usize, TwoTime) -> f64,
+        dx: impl Fn(usize, TwoTime) -> f64,
+    ) {
+        let total = g.samples();
+        let top: f64 = g
+            .axes()
+            .iter()
+            .map(|ax| 2.0 * std::f64::consts::PI * ax.freq * ax.harmonics as f64)
+            .sum();
+        let mut field = vec![0.0; total * n];
+        for s in 0..total {
+            for i in 0..n {
+                field[s * n + i] = x(i, g.time(s));
+            }
+        }
+        let mut out = vec![1.0; total * n];
+        let mut ws = g.workspace();
+        // Twice through one workspace: a warm workspace gives the same.
+        for round in 0..2 {
+            out.fill(1.0);
+            g.add_dt_with(&field, &mut out, n, &mut ws);
+            let h = packed_width(n);
+            for i in 0..n {
+                let pair = if i < h { i + h } else { i - h };
+                let scale = if pair < n { AMPS[i].max(AMPS[pair]) } else { AMPS[i] };
+                for s in 0..total {
+                    let (got, want) = (out[s * n + i] - 1.0, dx(i, g.time(s)));
+                    assert!(
+                        (got - want).abs() <= 1e-12 * top * scale,
+                        "n={n} i={i} s={s} round {round}: {got} vs {want}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn packed_derivative_single_tone_every_pairing() {
+        let f0 = 3e6;
+        let g = SpectralGrid::single_tone(f0, 6).unwrap();
+        let w = 2.0 * std::f64::consts::PI * f0;
+        // Unknown i: A_i·(0.3 + sin(k_i·ωt + φ_i)), k_i = 1 + i mod 6.
+        let k = |i: usize| (1 + i % 6) as f64;
+        let phi = |i: usize| 0.7 * i as f64;
+        for n in 1..=5 {
+            check_packed_derivative(
+                &g,
+                n,
+                |i, t| AMPS[i] * (0.3 + (k(i) * w * t.t1 + phi(i)).sin()),
+                |i, t| AMPS[i] * k(i) * w * (k(i) * w * t.t1 + phi(i)).cos(),
+            );
+        }
+    }
+
+    #[test]
+    fn packed_derivative_two_tone_every_pairing() {
+        let (f1, f2) = (1e5, 4e7);
+        let g = SpectralGrid::two_tone(ToneAxis::new(f1, 3), ToneAxis::new(f2, 2)).unwrap();
+        let (w1, w2) = (2.0 * std::f64::consts::PI * f1, 2.0 * std::f64::consts::PI * f2);
+        // Unknown i: A_i·(0.5 + sin(p_i·ω₁t₁ + φ_i)·cos(q_i·ω₂t₂)).
+        let p = |i: usize| (1 + i % 3) as f64;
+        let q = |i: usize| (i % 3) as f64;
+        let phi = |i: usize| 0.4 + 0.9 * i as f64;
+        for n in 1..=5 {
+            check_packed_derivative(
+                &g,
+                n,
+                |i, t| {
+                    AMPS[i] * (0.5 + (p(i) * w1 * t.t1 + phi(i)).sin() * (q(i) * w2 * t.t2).cos())
+                },
+                |i, t| {
+                    let (a, b) = (p(i) * w1 * t.t1 + phi(i), q(i) * w2 * t.t2);
+                    AMPS[i] * (p(i) * w1 * a.cos() * b.cos() - q(i) * w2 * a.sin() * b.sin())
+                },
+            );
+        }
+    }
+
+    #[test]
+    fn conjugate_bins_pair_up() {
+        let g = SpectralGrid::two_tone(ToneAxis::new(1.0, 2), ToneAxis::new(10.0, 3)).unwrap();
+        let half: Vec<_> = g.half_spectrum().collect();
+        assert_eq!(half.len(), g.samples().div_ceil(2));
+        assert_eq!(half[0], (0, 0), "DC is its own conjugate");
+        for &(k, kc) in &half {
+            assert_eq!(g.conj_bin(kc), k);
+            assert_eq!(g.bin_omega(kc), -g.bin_omega(k));
         }
     }
 

@@ -15,22 +15,19 @@
 //!   per-harmonic block-diagonal preconditioner — the approach of
 //!   refs [10, 31] that scales to full RF chips.
 
-use crate::fourier::{GridWorkspace, SpectralGrid};
+use crate::fourier::{packed_width, GridWorkspace, SpectralGrid};
 use crate::{Error, Result};
 use rfsim_circuit::dae::Dae;
 use rfsim_circuit::dc::{dc_operating_point, DcOptions};
 use rfsim_numerics::dense::Mat;
-use rfsim_numerics::fft::{self, FftPlan, FftScratch};
 use rfsim_numerics::krylov::{
     gmres_with, FnOperator, GmresWorkspace, IdentityPrecond, KrylovOptions, Preconditioner,
     RecycleSpace,
 };
 use rfsim_numerics::sparse::{Csr, SparseLu, Triplets};
 use rfsim_numerics::{norm_inf, AlignedVec, Complex, ResidualTail};
-use rfsim_parallel as parallel;
 use rfsim_telemetry as telemetry;
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, PoisonError};
 
 /// Linear solver used for the Newton corrections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,8 +46,9 @@ pub enum HbSolver {
 /// Newton iteration (Gmres backend with `precondition: true`).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PrecondRefresh {
-    /// Re-factor on every Newton iteration: `samples()` complex LU
-    /// factorizations per step. Always tracks the current linearization.
+    /// Re-factor on every Newton iteration: `(samples() + 1)/2` complex
+    /// sparse LU factorizations per step, one per bin of the non-negative
+    /// half-spectrum. Always tracks the current linearization.
     EveryIteration,
     /// Keep the factored blocks across Newton iterations and re-factor
     /// only when the `precond_degraded` signal fires: the inner GMRES
@@ -118,8 +116,9 @@ pub struct HbStats {
     /// (dense Jacobian vs Krylov basis + preconditioner factors).
     pub solver_bytes: usize,
     /// Harmonic-block preconditioner factorizations performed (each one
-    /// analyses one bin's sparse block and refactors the other
-    /// `samples() − 1` on that analysis).
+    /// analyses one bin's sparse block and refactors the rest of the
+    /// non-negative half-spectrum, `(samples() + 1)/2 − 1` bins, on that
+    /// analysis).
     pub precond_factorizations: usize,
 }
 
@@ -205,6 +204,7 @@ fn assemble(
     x: &[f64],
     b: &[f64],
     cache: &mut StampCache,
+    grid_ws: &mut GridWorkspace,
 ) -> (Vec<f64>, Vec<SampleLin>) {
     let _span = telemetry::span("hb.assemble");
     let n = dae.dim();
@@ -227,14 +227,15 @@ fn assemble(
     for (ri, bi) in r.iter_mut().zip(b) {
         *ri -= bi;
     }
-    grid.add_dt(&qall, &mut r, n);
+    grid.add_dt_with(&qall, &mut r, n, grid_ws);
     (r, lins)
 }
 
 /// Preallocated per-matvec buffers for the HB hot path: the `C·v`
-/// samples and the spectral-derivative workspace. One instance lives for
-/// the whole [`solve_hb`] run, so every Jacobian application after the
-/// first performs zero heap allocation.
+/// samples and the spectral-derivative workspace, which the residual's
+/// transform shares. One instance lives for the whole [`solve_hb`] run,
+/// so every Jacobian application after the first performs zero heap
+/// allocation.
 #[derive(Debug)]
 struct HbWorkspace {
     /// 32-byte aligned so the SIMD axpy/matvec kernels see aligned rows.
@@ -247,6 +248,11 @@ impl HbWorkspace {
         let mut cv = AlignedVec::new();
         cv.resize(grid.samples() * n, 0.0);
         HbWorkspace { cv, grid_ws: grid.workspace() }
+    }
+
+    /// Heap bytes held, by capacity.
+    fn bytes(&self) -> usize {
+        self.cv.capacity() * std::mem::size_of::<f64>() + self.grid_ws.bytes()
     }
 }
 
@@ -265,6 +271,7 @@ fn apply_jacobian(
         lin.c.matvec_into(vs, &mut ws.cv[s * n..(s + 1) * n]);
         lin.g.matvec_into(vs, &mut y[s * n..(s + 1) * n]);
     }
+    let _span_fft = telemetry::span("hb.matvec.fft");
     grid.add_dt_with(&ws.cv, y, n, &mut ws.grid_ws);
 }
 
@@ -272,50 +279,35 @@ fn apply_jacobian(
 /// `(Ḡ + jω_k·C̄)·ẑ_k = r̂_k` in the frequency domain using the
 /// sample-averaged linearizations.
 ///
-/// Every bin's block has the sparsity of `Ḡ` and `C̄` together, so one
-/// bin is analysed by a sparse LU and the others are refactored on that
+/// The residual is real, so its coefficient at `−k` is the conjugate of
+/// that at `k`, and so is the solution's: only the non-negative half of
+/// the spectrum is factored and solved, `(samples() + 1)/2` blocks. Every
+/// block has the sparsity of `Ḡ` and `C̄` together, so one bin is
+/// analysed by a sparse LU and the others are refactored on that
 /// analysis, sharing its order, pivot sequence and factor pattern.
 struct HarmonicBlockPrecond {
-    grid: SpectralGrid,
     n: usize,
-    /// Factored complex blocks, one per frequency bin (row-major over axes).
+    /// The half-spectrum: each bin `k` with the bin of `−k` (row-major
+    /// over axes), beside `blocks`.
+    bins: Vec<(usize, usize)>,
+    /// The factored complex block of each bin `k` in `bins`.
     blocks: Vec<SparseLu<Complex>>,
     /// Resident bytes of `blocks`: every bin's values, each analysis once.
-    bytes: usize,
+    factor_bytes: usize,
     /// Reusable apply buffers. `Preconditioner::apply` takes `&self`, so
-    /// interior mutability is required; a `Mutex` (not a `RefCell`) keeps
-    /// the type `Sync` for the `par_bins` closures, which borrow `self` on
-    /// pool threads. The lock is uncontended: one GMRES solve applies a
+    /// interior mutability is required; one GMRES solve applies a
     /// preconditioner at a time.
-    scratch: Mutex<PrecondScratch>,
+    scratch: RefCell<PrecondScratch>,
 }
 
-/// Buffers for [`HarmonicBlockPrecond::apply_batched`]: the
-/// frequency-domain field (bin-major, `samples()·n`), one bin's
-/// solve output, the transform scratch, and the cached per-axis plans.
+/// Buffers for [`HarmonicBlockPrecond`]'s apply: the real-packed
+/// transform workspace, and one bin's right-hand side and solution.
 #[derive(Debug)]
 struct PrecondScratch {
-    spec: AlignedVec<Complex>,
+    grid: GridWorkspace,
+    rhs: AlignedVec<Complex>,
     sol: AlignedVec<Complex>,
-    fft: FftScratch,
-    plans: Vec<Arc<FftPlan>>,
 }
-
-impl PrecondScratch {
-    fn new(grid: &SpectralGrid) -> Self {
-        PrecondScratch {
-            spec: AlignedVec::new(),
-            sol: AlignedVec::new(),
-            fft: FftScratch::new(),
-            plans: grid.axes().iter().map(|ax| fft::plan(ax.samples())).collect(),
-        }
-    }
-}
-
-/// Below this many HB unknowns the bin solves stay on the calling thread
-/// even with worker threads available: spawning a parallel region per
-/// GMRES iteration costs more than the solves themselves.
-const PRECOND_PAR_MIN_UNKNOWNS: usize = 4096;
 
 /// The sample averages `Ḡ` and `C̄` on the union of every sample's `G`
 /// and `C` pattern: a complex matrix of that pattern (explicit zeros
@@ -359,32 +351,32 @@ fn averaged_linearization(lins: &[SampleLin], n: usize) -> (Csr<Complex>, Vec<f6
 
 impl HarmonicBlockPrecond {
     fn new(grid: &SpectralGrid, lins: &[SampleLin], n: usize) -> Result<Self> {
-        let total = grid.samples();
         // Average G and C over the samples (the DC Fourier component of the
         // time-varying linearization).
         let (mut block, gbar, cbar) = averaged_linearization(lins, n);
         let set_bin = |block: &mut Csr<Complex>, bin: usize| {
-            let omega = 2.0 * std::f64::consts::PI * bin_mix_freq(grid, bin);
+            let omega = grid.bin_omega(bin);
             for ((v, &g), &c) in block.vals_mut().iter_mut().zip(&gbar).zip(&cbar) {
                 *v = Complex::new(g, omega * c);
             }
         };
+        let bins: Vec<(usize, usize)> = grid.half_spectrum().collect();
         // Analyse the first bin with ω ≠ 0. At DC an inductor's branch row
         // has a zero diagonal, and an analysis pivoting around it would
         // fail every other bin's pivots; this way DC alone falls back.
-        let anchor = (0..total).find(|&bin| bin_mix_freq(grid, bin) != 0.0).unwrap_or(0);
-        set_bin(&mut block, anchor);
+        let anchor = bins.iter().position(|&(k, _)| grid.bin_omega(k) != 0.0).unwrap_or(0);
+        set_bin(&mut block, bins[anchor].0);
         let analysed = block.lu().map_err(Error::Numerics)?;
-        let mut blocks = Vec::with_capacity(total);
-        for bin in 0..total {
-            blocks.push(if bin == anchor {
+        let mut blocks = Vec::with_capacity(bins.len());
+        for (at, &(k, _)) in bins.iter().enumerate() {
+            blocks.push(if at == anchor {
                 analysed.clone()
             } else {
-                set_bin(&mut block, bin);
+                set_bin(&mut block, k);
                 analysed.refactor(&block).map_err(Error::Numerics)?
             });
         }
-        let bytes = analysed.analysis_bytes()
+        let factor_bytes = analysed.analysis_bytes()
             + blocks
                 .iter()
                 .map(|lu| {
@@ -393,131 +385,72 @@ impl HarmonicBlockPrecond {
                 })
                 .sum::<usize>();
         telemetry::counter_add("hb.precond.factorizations", 1);
+        let mut rhs = AlignedVec::new();
+        rhs.resize(n, Complex::ZERO);
+        let mut sol = AlignedVec::new();
+        sol.resize(n, Complex::ZERO);
         Ok(HarmonicBlockPrecond {
-            grid: grid.clone(),
             n,
+            bins,
             blocks,
-            bytes,
-            scratch: Mutex::new(PrecondScratch::new(grid)),
+            factor_bytes,
+            scratch: RefCell::new(PrecondScratch { grid: grid.workspace(), rhs, sol }),
         })
     }
 
+    /// Heap bytes held, by capacity: the factors and the apply buffers.
     fn bytes(&self) -> usize {
-        self.bytes
-    }
-
-    /// The one apply executor: batched strided transforms over the
-    /// scratch field, per-bin sparse block solves, inverse transforms.
-    /// `par_bins` fans the bin solves out over the worker pool,
-    /// index-ordered, so the result is bitwise the same for every thread
-    /// count; without it the apply is allocation-free.
-    fn apply_batched(
-        &self,
-        r: &[f64],
-        z: &mut [f64],
-        ws: &mut PrecondScratch,
-        par_bins: bool,
-    ) -> rfsim_numerics::Result<()> {
-        let n = self.n;
-        let total = self.grid.samples();
-        let axes = self.grid.axes();
-        ws.spec.clear();
-        ws.spec.extend(r.iter().map(|&v| Complex::from_re(v)));
-        let _span_fwd = telemetry::span("hb.precond.fft_fwd");
-        match axes.len() {
-            1 => ws.plans[0].forward_strided(&mut ws.spec, n, n, &mut ws.fft),
-            2 => {
-                // Row–column 2-D transform of every unknown at once: the
-                // fast-axis rows live in per-i0 contiguous blocks, the
-                // slow-axis columns stride across blocks.
-                let (n0, n1) = (axes[0].samples(), axes[1].samples());
-                for i0 in 0..n0 {
-                    let block = &mut ws.spec[i0 * n1 * n..(i0 + 1) * n1 * n];
-                    ws.plans[1].forward_strided(block, n, n, &mut ws.fft);
-                }
-                ws.plans[0].forward_strided(&mut ws.spec, n1 * n, n1 * n, &mut ws.fft);
-            }
-            _ => unreachable!(),
-        }
-        drop(_span_fwd);
-        let _span_trsv = telemetry::span("hb.precond.trsv");
-        if par_bins {
-            let spec = &ws.spec;
-            let sols = parallel::par_map_indexed(total, move |bin| {
-                self.blocks[bin].solve(&spec[bin * n..(bin + 1) * n])
-            });
-            for (bin, sol) in sols.into_iter().enumerate() {
-                ws.spec[bin * n..(bin + 1) * n].copy_from_slice(&sol?);
-            }
-        } else {
-            ws.sol.clear();
-            ws.sol.resize(n, Complex::ZERO);
-            for (bin, lu) in self.blocks.iter().enumerate() {
-                let rhs = &mut ws.spec[bin * n..(bin + 1) * n];
-                lu.solve_into(rhs, &mut ws.sol)?;
-                rhs.copy_from_slice(&ws.sol);
-            }
-        }
-        drop(_span_trsv);
-        let _span_inv = telemetry::span("hb.precond.fft_inv");
-        match axes.len() {
-            1 => ws.plans[0].inverse_strided(&mut ws.spec, n, n, &mut ws.fft),
-            2 => {
-                let (n0, n1) = (axes[0].samples(), axes[1].samples());
-                for i0 in 0..n0 {
-                    let block = &mut ws.spec[i0 * n1 * n..(i0 + 1) * n1 * n];
-                    ws.plans[1].inverse_strided(block, n, n, &mut ws.fft);
-                }
-                ws.plans[0].inverse_strided(&mut ws.spec, n1 * n, n1 * n, &mut ws.fft);
-            }
-            _ => unreachable!(),
-        }
-        for (zi, c) in z.iter_mut().zip(ws.spec.iter()) {
-            *zi = c.re;
-        }
-        Ok(())
-    }
-}
-
-/// Signed mix frequency of the flattened spectral bin `bin`.
-fn bin_mix_freq(grid: &SpectralGrid, bin: usize) -> f64 {
-    let axes = grid.axes();
-    match axes.len() {
-        1 => {
-            let ns = axes[0].samples();
-            let k = signed_bin(bin, ns);
-            k as f64 * axes[0].freq
-        }
-        2 => {
-            let n1 = axes[1].samples();
-            let b0 = bin / n1;
-            let b1 = bin % n1;
-            signed_bin(b0, axes[0].samples()) as f64 * axes[0].freq
-                + signed_bin(b1, n1) as f64 * axes[1].freq
-        }
-        _ => unreachable!(),
-    }
-}
-
-fn signed_bin(b: usize, ns: usize) -> i64 {
-    let h = ns / 2;
-    if b <= h {
-        b as i64
-    } else {
-        b as i64 - ns as i64
+        let ws = self.scratch.borrow();
+        self.factor_bytes
+            + self.bins.capacity() * std::mem::size_of::<(usize, usize)>()
+            + ws.grid.bytes()
+            + (ws.rhs.capacity() + ws.sol.capacity()) * std::mem::size_of::<Complex>()
     }
 }
 
 impl Preconditioner<f64> for HarmonicBlockPrecond {
+    /// Packs `r` as in [`SpectralGrid::add_dt_with`] (unknowns `i` and
+    /// `i + h`, `h = ⌈n/2⌉`, as `a + j·b`) and transforms it once. Bin `k`
+    /// of the packed spectrum is `Z_k = A_k + j·B_k`, and since `a` and
+    /// `b` are real, `A_k = (Z_k + conj Z₋ₖ)/2` and
+    /// `B_k = (Z_k − conj Z₋ₖ)/2j`. Each half-spectrum block solves for
+    /// `X_k`; `X_a + j·X_b` goes to bin `k` and its conjugate pair to
+    /// `−k`, and one inverse transform returns `z` packed.
     fn apply(&self, r: &[f64], z: &mut [f64]) -> rfsim_numerics::Result<()> {
         let _span = telemetry::span("hb.precond.apply");
-        // Every thread count runs the same executor; only the per-bin
-        // solves fan out, and only on systems large enough to pay for a
-        // parallel region per GMRES iteration.
-        let par_bins = self.grid.samples() * self.n >= PRECOND_PAR_MIN_UNKNOWNS
-            && parallel::thread_count() > 1;
-        let mut ws = self.scratch.lock().unwrap_or_else(PoisonError::into_inner);
-        self.apply_batched(r, z, &mut ws, par_bins)
+        let n = self.n;
+        let h = packed_width(n);
+        let PrecondScratch { grid, rhs, sol } = &mut *self.scratch.borrow_mut();
+        grid.pack(r, n);
+        let span_fwd = telemetry::span("hb.precond.fft_fwd");
+        grid.forward();
+        drop(span_fwd);
+        let span_trsv = telemetry::span("hb.precond.trsv");
+        let spec = grid.spectrum_mut();
+        for (&(k, kc), lu) in self.bins.iter().zip(&self.blocks) {
+            let (zk, zc) = (&spec[k * h..(k + 1) * h], &spec[kc * h..(kc + 1) * h]);
+            let (ra, rb) = rhs.split_at_mut(h);
+            for (i, (&p, &q)) in zk.iter().zip(zc).enumerate() {
+                ra[i] = Complex::new(0.5 * (p.re + q.re), 0.5 * (p.im - q.im));
+                if let Some(b) = rb.get_mut(i) {
+                    *b = Complex::new(0.5 * (p.im + q.im), 0.5 * (q.re - p.re));
+                }
+            }
+            lu.solve_into(rhs, sol)?;
+            // The conjugate first: at the self-conjugate DC bin the
+            // write at `k` then stands.
+            let (xa, xb) = sol.split_at(h);
+            for i in 0..h {
+                let (a, b) = (xa[i], xb.get(i).copied().unwrap_or(Complex::ZERO));
+                spec[kc * h + i] = Complex::new(a.re + b.im, b.re - a.im);
+                spec[k * h + i] = Complex::new(a.re - b.im, a.im + b.re);
+            }
+        }
+        drop(span_trsv);
+        let _span_inv = telemetry::span("hb.precond.fft_inv");
+        grid.inverse();
+        grid.unpack(z, n, |o, v| *o = v);
+        Ok(())
     }
 }
 
@@ -550,8 +483,8 @@ impl NewtonCarry {
         self.recycle.clear();
     }
 
-    /// Approximate resident bytes of the carried state (preconditioner
-    /// factors; the recycle space's share is counted by its owner, which
+    /// Resident bytes of the carried preconditioner, factors and apply
+    /// buffers (the recycle space's share is counted by its owner, which
     /// knows the operator dimension).
     fn bytes(&self) -> usize {
         self.precond.as_ref().map_or(0, HarmonicBlockPrecond::bytes)
@@ -674,7 +607,9 @@ fn newton_hb(
     // assembled them (`assemble` is a pure function of `x`).
     let mut at_x: Option<(Vec<f64>, Vec<SampleLin>)> = None;
     for it in 0..opts.max_newton {
-        let (r, lins) = at_x.take().unwrap_or_else(|| assemble(dae, grid, x, b, cache));
+        let (r, lins) = at_x
+            .take()
+            .unwrap_or_else(|| assemble(dae, grid, x, b, cache, &mut ws.borrow_mut().grid_ws));
         let res = norm_inf(&r);
         last_res = res;
         trace.push(res);
@@ -825,7 +760,7 @@ fn newton_hb(
         let mut improved = false;
         for _ in 0..8 {
             let xt: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi - alpha * di).collect();
-            let trial = assemble(dae, grid, &xt, b, cache);
+            let trial = assemble(dae, grid, &xt, b, cache, &mut ws.borrow_mut().grid_ws);
             if norm_inf(&trial.0).is_finite() && norm_inf(&trial.0) < res {
                 *x = xt;
                 at_x = Some(trial);
@@ -841,7 +776,8 @@ fn newton_hb(
         }
     }
     // Final check.
-    let (r, _) = at_x.unwrap_or_else(|| assemble(dae, grid, x, b, cache));
+    let (r, _) =
+        at_x.unwrap_or_else(|| assemble(dae, grid, x, b, cache, &mut ws.borrow_mut().grid_ws));
     let final_res = norm_inf(&r);
     trace.push(final_res);
     monitor.observe(final_res);
@@ -908,16 +844,20 @@ impl HbSweep {
         self.state.is_some()
     }
 
-    /// Approximate resident bytes of the warm state: previous solution,
-    /// matvec workspace, preconditioner factors, and recycle space. What
-    /// a cache eviction would actually free — used by `rfsim-serve` to
-    /// keep resident sweeps under a memory budget.
+    /// Resident heap bytes of the warm state, by capacity: previous
+    /// solution, matvec workspace, GMRES workspace, preconditioner
+    /// factors and buffers, and recycle space. What a cache eviction
+    /// would actually free — used by `rfsim-serve` to keep resident
+    /// sweeps under a memory budget.
     pub fn state_bytes(&self) -> usize {
         self.state.as_ref().map_or(0, |st| {
-            let nun = st.x.len();
-            // x + workspace cv, the recycle space's U and C blocks, and
-            // the carried preconditioner factors.
-            (2 * nun + 2 * st.carry.recycle.dim() * nun) * 8 + st.carry.bytes()
+            // The recycle space holds U and C, `dim` vectors each.
+            let recycle = 2 * st.carry.recycle.dim() * st.x.len() * std::mem::size_of::<f64>();
+            st.x.capacity() * std::mem::size_of::<f64>()
+                + st.ws.borrow().bytes()
+                + st.gws.bytes()
+                + recycle
+                + st.carry.bytes()
         })
     }
 
@@ -1005,9 +945,10 @@ impl HbHotPath {
             x[s * n..(s + 1) * n].copy_from_slice(&op.x);
         }
         let b = vec![0.0; total * n];
-        let (_r, lins) = assemble(dae, grid, &x, &b, &mut StampCache::default());
+        let mut ws = HbWorkspace::new(grid, n);
+        let (_r, lins) = assemble(dae, grid, &x, &b, &mut StampCache::default(), &mut ws.grid_ws);
         let precond = HarmonicBlockPrecond::new(grid, &lins, n)?;
-        Ok(HbHotPath { grid: grid.clone(), n, lins, precond, ws: HbWorkspace::new(grid, n) })
+        Ok(HbHotPath { grid: grid.clone(), n, lins, precond, ws })
     }
 
     /// Total HB unknowns (`samples()·n`).

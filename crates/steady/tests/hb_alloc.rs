@@ -4,9 +4,8 @@
 //!
 //! This lives in its own integration-test binary because it installs a
 //! counting `#[global_allocator]`. Telemetry stays inactive (recording
-//! counters allocates) and the thread count is pinned to 1 so the
-//! serial, workspace-backed code paths run — the parallel path spawns
-//! scoped threads, which allocate by design.
+//! counters allocates). The thread count is left at its default: the hot
+//! path runs on the calling thread at every thread count.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -56,7 +55,6 @@ fn clipper() -> (rfsim_circuit::dae::CircuitDae, SpectralGrid) {
 
 #[test]
 fn hb_matvec_and_precond_are_alloc_free_after_warmup() {
-    rfsim_parallel::set_thread_count(1);
     let (dae, grid) = clipper();
     let mut hot = HbHotPath::prepare(&dae, &grid).unwrap();
     let n = hot.unknowns();

@@ -94,11 +94,10 @@ fn child_workload() {
         solve_hb(&dae, &grid, &HbOptions { source_steps: 2, ..Default::default() }).expect("hb");
     emit("hb_precond_solution", &sol.x);
 
-    // A clipper ladder big enough to cross the preconditioner's parallel
-    // threshold (unknowns ≥ 4096), so the per-bin triangular solves fan
-    // out across the pool. Under SIMD dispatch every thread count must
-    // route through the same batched FFT executor — this case would catch
-    // a per-line fallback sneaking back into the multi-thread path.
+    // A clipper ladder of 4,182 HB unknowns. Under SIMD dispatch every
+    // thread count must route through the same batched FFT executor —
+    // this case would catch a per-line fallback or a thread-dependent
+    // path on a large system.
     let ladder = {
         let mut ckt = rfsim::circuit::Circuit::new();
         let mut prev = ckt.node("in");
