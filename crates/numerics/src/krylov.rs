@@ -449,14 +449,21 @@ fn gmres_cycles<T: Scalar>(
         ws.h.resize_with(m + 1, Vec::new);
     }
     let mut resid_norm = f64::INFINITY;
+    // From x = 0 the first residual M⁻¹(b − A·0) is M⁻¹b, which `zb`
+    // already holds.
+    let mut from_zero = x0.is_none();
     while total_iters < opts.max_iters {
-        // r = M⁻¹(b − A·x)
-        a.apply(&x, &mut ws.work);
-        matvecs += 1;
-        for i in 0..n {
-            ws.r[i] = b[i] - ws.work[i];
+        if std::mem::take(&mut from_zero) {
+            ws.z.copy_from_slice(&ws.zb);
+        } else {
+            // r = M⁻¹(b − A·x)
+            a.apply(&x, &mut ws.work);
+            matvecs += 1;
+            for i in 0..n {
+                ws.r[i] = b[i] - ws.work[i];
+            }
+            precond.apply(&ws.r, &mut ws.z)?;
         }
-        precond.apply(&ws.r, &mut ws.z)?;
         let beta = gnorm2(&ws.z);
         resid_norm = beta / bnorm;
         if resid_norm <= opts.tol {
@@ -1060,6 +1067,27 @@ mod tests {
         let (x, _) = gmres(&a, &b, None, &IdentityPrecond, &opts).unwrap();
         for (xi, ri) in x.iter().zip(&xref) {
             assert!((xi - ri).abs() < 1e-7);
+        }
+    }
+
+    #[test]
+    fn gmres_from_zero_skips_the_first_residual_product() {
+        // One cycle (restart ≥ iterations) from `None` starts from the
+        // preconditioned right-hand side it already holds: one operator
+        // application per iteration, and the iterates of a start from an
+        // explicit zero vector, bit for bit.
+        let (a, b, _) = spd_system(30);
+        let diag: Vec<f64> = (0..30).map(|i| a[(i, i)]).collect();
+        let pc = JacobiPrecond::from_diagonal(&diag);
+        let opts = KrylovOptions { restart: 30, ..Default::default() };
+        let (x, s) = gmres(&a, &b, None, &pc, &opts).unwrap();
+        let (x0, s0) = gmres(&a, &b, Some(&[0.0; 30]), &pc, &opts).unwrap();
+        assert_eq!(s.matvecs, s.iterations);
+        assert_eq!(s0.matvecs, s0.iterations + 1);
+        assert_eq!(s.iterations, s0.iterations);
+        assert_eq!(s.residual.to_bits(), s0.residual.to_bits());
+        for (xi, yi) in x.iter().zip(&x0) {
+            assert_eq!(xi.to_bits(), yi.to_bits());
         }
     }
 

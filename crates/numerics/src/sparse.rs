@@ -132,17 +132,13 @@ impl<T: Scalar> Triplets<T> {
     }
 
     /// Converts to CSR like [`Triplets::to_csr`] but keeps every stamped
-    /// position — exact-zero sums stay as explicit entries — and returns,
-    /// for each raw entry in push order, the index of the CSR value slot
-    /// it accumulates into.
+    /// position: exact-zero sums stay as explicit entries, and duplicates
+    /// sum in push order.
     ///
-    /// This is the *stamp map* for assembly loops whose sparsity is
-    /// iteration-invariant: build the pattern once, then refill a value
-    /// buffer with [`Triplets::scatter_into`] on every subsequent stamp,
-    /// skipping the per-row sort entirely. Keeping structural zeros makes
-    /// the pattern valid for every iteration, not just the one that
-    /// built it.
-    pub fn to_pattern(&self) -> (Csr<T>, Vec<usize>) {
+    /// This is the pattern for assembly loops whose sparsity is
+    /// iteration-invariant: keeping structural zeros makes it valid for
+    /// every restamp, not just the one that built it.
+    pub fn to_pattern(&self) -> Csr<T> {
         let mut counts = vec![0usize; self.rows + 1];
         for &(i, _, _) in &self.entries {
             counts[i + 1] += 1;
@@ -160,7 +156,6 @@ impl<T: Scalar> Triplets<T> {
         let mut row_ptr = vec![0usize; self.rows + 1];
         let mut out_cols = Vec::with_capacity(self.entries.len());
         let mut out_vals = Vec::with_capacity(self.entries.len());
-        let mut slots = vec![0usize; self.entries.len()];
         let mut row: Vec<(usize, usize)> = Vec::new();
         for i in 0..self.rows {
             row.clear();
@@ -169,39 +164,17 @@ impl<T: Scalar> Triplets<T> {
             let mut idx = 0;
             while idx < row.len() {
                 let c = row[idx].0;
-                let slot = out_cols.len();
                 out_cols.push(c);
                 let mut v = T::ZERO;
                 while idx < row.len() && row[idx].0 == c {
                     v += self.entries[row[idx].1].2;
-                    slots[row[idx].1] = slot;
                     idx += 1;
                 }
                 out_vals.push(v);
             }
             row_ptr[i + 1] = out_cols.len();
         }
-        (
-            Csr { rows: self.rows, cols: self.cols, row_ptr, col_idx: out_cols, vals: out_vals },
-            slots,
-        )
-    }
-
-    /// Accumulates this builder's raw values into `vals` through the slot
-    /// map produced by [`Triplets::to_pattern`] on an identically-stamped
-    /// builder. `vals` is zeroed first; duplicates sum in push order,
-    /// matching the pattern build bitwise.
-    ///
-    /// # Panics
-    /// Panics if `slots` does not have one slot per raw entry.
-    pub fn scatter_into(&self, slots: &[usize], vals: &mut [T]) {
-        assert_eq!(slots.len(), self.entries.len(), "stamp map length mismatch");
-        for v in vals.iter_mut() {
-            *v = T::ZERO;
-        }
-        for (&(_, _, v), &slot) in self.entries.iter().zip(slots) {
-            vals[slot] += v;
-        }
+        Csr { rows: self.rows, cols: self.cols, row_ptr, col_idx: out_cols, vals: out_vals }
     }
 }
 
@@ -236,7 +209,7 @@ impl<T: Scalar> Csr<T> {
     }
 
     /// Mutable view of the stored values in row-major slot order, for
-    /// restamping through a [`Triplets::to_pattern`] slot map.
+    /// restamping a [`Triplets::to_pattern`] pattern.
     pub fn vals_mut(&mut self) -> &mut [T] {
         &mut self.vals
     }

@@ -118,7 +118,7 @@ fn dominant_draw(
         }
         t.push(i, j, *z);
     }
-    t.to_pattern().0
+    t.to_pattern()
 }
 
 /// One complex sparse pattern — the diagonal, the cyclic superdiagonal

@@ -13,7 +13,10 @@
 //!   circuit size and tone count;
 //! - [`HbSolver::Gmres`]: matrix-implicit Krylov solution with a
 //!   per-harmonic block-diagonal preconditioner — the approach of
-//!   refs [10, 31] that scales to full RF chips.
+//!   refs [10, 31] that scales to full RF chips. The preconditioner `M`
+//!   is the time-invariant part of the Jacobian `J`, so GMRES iterates
+//!   on `M⁻¹J = I + M⁻¹Δ` and applies only `Δ = J − M`, the entries
+//!   that vary over the period.
 
 use crate::fourier::{packed_width, GridWorkspace, SpectralGrid};
 use crate::{Error, Result};
@@ -21,13 +24,13 @@ use rfsim_circuit::dae::Dae;
 use rfsim_circuit::dc::{dc_operating_point, DcOptions};
 use rfsim_numerics::dense::Mat;
 use rfsim_numerics::krylov::{
-    gmres_with, FnOperator, GmresWorkspace, IdentityPrecond, KrylovOptions, Preconditioner,
-    RecycleSpace,
+    gmres_with, FnOperator, GmresWorkspace, IdentityPrecond, IterStats, KrylovOptions, RecycleSpace,
 };
 use rfsim_numerics::sparse::{Csr, SparseLu, Triplets};
 use rfsim_numerics::{norm_inf, AlignedVec, Complex, ResidualTail};
 use rfsim_telemetry as telemetry;
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
+use std::sync::Arc;
 
 /// Linear solver used for the Newton corrections.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -108,7 +111,8 @@ pub struct HbStats {
     pub newton_iterations: usize,
     /// Total inner linear-solver iterations.
     pub linear_iterations: usize,
-    /// Jacobian-vector products performed.
+    /// Operator applications performed: products with the Jacobian `J`,
+    /// or with `M⁻¹J` under the block preconditioner.
     pub matvecs: usize,
     /// HB unknowns `n·N`.
     pub unknowns: usize,
@@ -157,89 +161,323 @@ impl HbSolution {
     }
 }
 
-/// Per-sample circuit linearization cached during a Newton iteration.
-struct SampleLin {
-    g: Csr<f64>,
-    c: Csr<f64>,
+/// The positions of `G` and `C` together, in CSR order: one pattern that
+/// every sample's values share. Slot `p` of a sample's `G` values and
+/// slot `p` of its `C` values sit at the same `(i, j)`; a position that
+/// only one of the two stamps has holds an explicit zero in the other.
+#[derive(Debug)]
+struct StampPattern {
+    row_ptr: Vec<usize>,
+    col_idx: Vec<usize>,
 }
 
-/// Sparsity pattern plus stamp map shared by every sample whose raw
-/// stamp sequence matches: `proto` holds the position-complete CSR
-/// (explicit zeros retained) and `slots` routes each raw triplet to its
-/// value slot, so restamping is a zero + scatter-add instead of a
-/// per-row sort with fresh allocations.
-struct PatternMap {
-    proto: Csr<f64>,
-    slots: Vec<usize>,
-    /// Raw stamp count the map was built from — a mismatch (a device
-    /// changing its stamp footprint) falls back to a rebuild.
-    stamps: usize,
-}
-
-/// Reused buffers for [`assemble`]: the triplet builders and the cached
-/// per-matrix stamp maps. Owned by the solve so the pattern survives
-/// across Newton iterations and source-stepping levels.
-#[derive(Default)]
-struct StampCache {
-    g: Option<PatternMap>,
-    c: Option<PatternMap>,
-}
-
-fn stamp_csr(t: &Triplets, pm: &mut Option<PatternMap>) -> Csr<f64> {
-    if pm.as_ref().is_none_or(|p| p.stamps != t.len()) {
-        let (proto, slots) = t.to_pattern();
-        *pm = Some(PatternMap { proto: proto.clone(), slots, stamps: t.len() });
-        return proto;
+impl StampPattern {
+    /// The pattern of no position, for `n` unknowns.
+    fn empty(n: usize) -> Self {
+        StampPattern { row_ptr: vec![0; n + 1], col_idx: Vec::new() }
     }
-    let p = pm.as_ref().expect("checked above");
-    let mut csr = p.proto.clone();
-    t.scatter_into(&p.slots, csr.vals_mut());
-    csr
+
+    /// The pattern of every position stamped in `t`.
+    fn of(t: &Triplets) -> Self {
+        let csr = t.to_pattern();
+        let mut row_ptr = Vec::with_capacity(csr.rows() + 1);
+        let mut col_idx = Vec::with_capacity(csr.nnz());
+        row_ptr.push(0);
+        for i in 0..csr.rows() {
+            col_idx.extend_from_slice(csr.row(i).0);
+            row_ptr.push(col_idx.len());
+        }
+        StampPattern { row_ptr, col_idx }
+    }
+
+    fn dim(&self) -> usize {
+        self.row_ptr.len() - 1
+    }
+
+    fn nnz(&self) -> usize {
+        self.col_idx.len()
+    }
+
+    /// The slot of position `(i, j)`, if the pattern holds it.
+    fn slot(&self, i: usize, j: usize) -> Option<usize> {
+        let lo = self.row_ptr[i];
+        self.col_idx[lo..self.row_ptr[i + 1]].binary_search(&j).ok().map(|k| lo + k)
+    }
+
+    /// `(i, j)` of every slot, in slot order.
+    fn positions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.row_ptr
+            .windows(2)
+            .enumerate()
+            .flat_map(move |(i, w)| self.col_idx[w[0]..w[1]].iter().map(move |&j| (i, j)))
+    }
+
+    /// Sums the stamps `t` into `vals`, zeroed first, each at the slot of
+    /// its own `(i, j)`, duplicates in push order: a sample that stamps the
+    /// same positions in another order (a MOSFET whose drain and source
+    /// swap roles) lands every value where it belongs. Returns `false`
+    /// when some position has no slot.
+    fn scatter(&self, t: &Triplets, vals: &mut [f64]) -> bool {
+        vals.fill(0.0);
+        t.entries().iter().all(|&(i, j, v)| self.slot(i, j).map(|slot| vals[slot] += v).is_some())
+    }
+
+    /// The union of this pattern and every position of `g` and `c`.
+    fn grown(&self, g: &Triplets, c: &Triplets) -> Self {
+        let mut t = Triplets::new(g.rows(), g.cols());
+        for (i, j) in self.positions() {
+            t.push(i, j, 0.0);
+        }
+        for &(i, j, _) in g.entries().iter().chain(c.entries()) {
+            t.push(i, j, 0.0);
+        }
+        StampPattern::of(&t)
+    }
+
+    /// `y ← A·x` for the matrix with values `vals` on this pattern.
+    fn matvec(&self, vals: &[f64], x: &[f64], y: &mut [f64]) {
+        for (yi, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
+            let mut acc = 0.0;
+            for (v, &c) in vals[w[0]..w[1]].iter().zip(&self.col_idx[w[0]..w[1]]) {
+                acc += v * x[c];
+            }
+            *yi = acc;
+        }
+    }
+
+    /// Heap bytes held, by capacity.
+    fn bytes(&self) -> usize {
+        (self.row_ptr.capacity() + self.col_idx.capacity()) * std::mem::size_of::<usize>()
+    }
 }
 
-/// Evaluates residual and per-sample linearizations at `x`.
+/// A position `(i, j)` and its slot in a [`StampPattern`].
+type Stamp = (usize, usize, usize);
+
+/// Every sample's `G = ∂f/∂x` and `C = ∂q/∂x` at one Newton point, on
+/// one shared [`StampPattern`]: sample `s` holds `g[s·nnz..(s + 1)·nnz]`
+/// and likewise `c`.
+struct Linearization {
+    pattern: Arc<StampPattern>,
+    samples: usize,
+    g: Vec<f64>,
+    c: Vec<f64>,
+}
+
+impl Default for Linearization {
+    fn default() -> Self {
+        let pattern = Arc::new(StampPattern::empty(0));
+        Linearization { pattern, samples: 0, g: Vec::new(), c: Vec::new() }
+    }
+}
+
+impl Linearization {
+    /// Sizes the values for `samples` samples on `pattern`, reusing the
+    /// buffers; every sample is restamped after.
+    fn reset(&mut self, pattern: &Arc<StampPattern>, samples: usize) {
+        if !Arc::ptr_eq(&self.pattern, pattern) {
+            self.pattern = Arc::clone(pattern);
+        }
+        self.samples = samples;
+        self.g.resize(samples * pattern.nnz(), 0.0);
+        self.c.resize(samples * pattern.nnz(), 0.0);
+    }
+
+    /// Sample `s`'s `G` and `C` values.
+    fn sample(&self, s: usize) -> (&[f64], &[f64]) {
+        let at = s * self.pattern.nnz()..(s + 1) * self.pattern.nnz();
+        (&self.g[at.clone()], &self.c[at])
+    }
+
+    fn sample_mut(&mut self, s: usize) -> (&mut [f64], &mut [f64]) {
+        let at = s * self.pattern.nnz()..(s + 1) * self.pattern.nnz();
+        (&mut self.g[at.clone()], &mut self.c[at])
+    }
+}
+
+/// Per-position means of `vals`, `samples` rows of `nnz` values. An entry
+/// equal at every sample averages to itself exactly, so a time-invariant
+/// entry of the Jacobian lands wholly in `M` and not in `Δ`: a plain
+/// mean would round it (121 equal summands scaled by 1/121 need not give
+/// the value back).
+fn position_means(vals: &[f64], samples: usize, nnz: usize) -> Vec<f64> {
+    let first = &vals[..nnz];
+    let mut sum = vec![0.0; nnz];
+    let mut same = vec![true; nnz];
+    for row in (0..samples).map(|s| &vals[s * nnz..(s + 1) * nnz]) {
+        for (p, &v) in row.iter().enumerate() {
+            sum[p] += v;
+            same[p] &= v == first[p];
+        }
+    }
+    let scale = 1.0 / samples as f64;
+    (0..nnz).map(|p| if same[p] { first[p] } else { sum[p] * scale }).collect()
+}
+
+/// The residual and the per-sample linearization at one Newton point.
+#[derive(Default)]
+struct Assembly {
+    r: Vec<f64>,
+    lin: Linearization,
+}
+
+/// Evaluates the residual and the per-sample linearization at `x` into
+/// `out`, reusing its buffers, on the workspace's stamp pattern (grown,
+/// and every sample restamped, when a sample stamps a position it lacks).
 fn assemble(
     dae: &dyn Dae,
     grid: &SpectralGrid,
     x: &[f64],
     b: &[f64],
-    cache: &mut StampCache,
-    grid_ws: &mut GridWorkspace,
-) -> (Vec<f64>, Vec<SampleLin>) {
+    ws: &mut HbWorkspace,
+    out: &mut Assembly,
+) {
     let _span = telemetry::span("hb.assemble");
     let n = dae.dim();
     let total = grid.samples();
-    let mut fall = vec![0.0; total * n];
-    let mut qall = vec![0.0; total * n];
-    let mut lins = Vec::with_capacity(total);
-    let mut f = vec![0.0; n];
-    let mut q = vec![0.0; n];
+    let HbWorkspace { pattern, qall, grid_ws, .. } = ws;
+    let Assembly { r, lin } = out;
+    r.resize(total * n, 0.0);
+    qall.resize(total * n, 0.0);
+    lin.reset(pattern, total);
     let mut gt = Triplets::new(n, n);
     let mut ct = Triplets::new(n, n);
-    for s in 0..total {
-        dae.eval(&x[s * n..(s + 1) * n], &mut f, &mut q, &mut gt, &mut ct);
-        fall[s * n..(s + 1) * n].copy_from_slice(&f);
-        qall[s * n..(s + 1) * n].copy_from_slice(&q);
-        lins.push(SampleLin { g: stamp_csr(&gt, &mut cache.g), c: stamp_csr(&ct, &mut cache.c) });
+    let mut s = 0;
+    while s < total {
+        let at = s * n..(s + 1) * n;
+        dae.eval(&x[at.clone()], &mut r[at.clone()], &mut qall[at], &mut gt, &mut ct);
+        let (gv, cv) = lin.sample_mut(s);
+        if pattern.scatter(&gt, gv) && pattern.scatter(&ct, cv) {
+            s += 1;
+        } else {
+            *pattern = Arc::new(pattern.grown(&gt, &ct));
+            lin.reset(pattern, total);
+            s = 0;
+        }
     }
     // R = D·q + f − b.
-    let mut r = fall;
     for (ri, bi) in r.iter_mut().zip(b) {
         *ri -= bi;
     }
-    grid.add_dt_with(&qall, &mut r, n, grid_ws);
-    (r, lins)
+    grid.add_dt_with(qall, r, n, grid_ws);
 }
 
-/// Preallocated per-matvec buffers for the HB hot path: the `C·v`
-/// samples and the spectral-derivative workspace, which the residual's
-/// transform shares. One instance lives for the whole [`solve_hb`] run,
-/// so every Jacobian application after the first performs zero heap
-/// allocation.
+/// `Δ = J − M` at one Newton point: the entries of `G_s − Ḡ` and
+/// `C_s − C̄` at the positions where some sample differs from the
+/// averages `Ḡ`, `C̄` of the factor in use. A circuit's linear elements
+/// leave no entry here, and on the ladders no capacitance varies, so `ΔC`
+/// is empty and the Δ product runs no transform.
+#[derive(Debug, Default)]
+struct Deviation {
+    /// `(i, j)` and the pattern slot of each position of `ΔG`, and every
+    /// sample's values at them (sample-major).
+    g_at: Vec<Stamp>,
+    g: Vec<f64>,
+    c_at: Vec<Stamp>,
+    c: Vec<f64>,
+}
+
+impl Deviation {
+    /// Recomputes `Δ` for `lin` against the averages of `precond`, which
+    /// was built on `lin`'s pattern. Reuses the buffers.
+    fn set(&mut self, lin: &Linearization, precond: &HarmonicBlockPrecond) {
+        let pattern = &lin.pattern;
+        deviations(pattern, lin.samples, &lin.g, &precond.gbar, &mut self.g_at, &mut self.g);
+        deviations(pattern, lin.samples, &lin.c, &precond.cbar, &mut self.c_at, &mut self.c);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.g_at.is_empty() && self.c_at.is_empty()
+    }
+
+    /// `w ← Δ·v`: per sample `ΔG_s·v_s + D·(ΔC_s·v_s)`, where the
+    /// derivative transform runs only when `ΔC` holds an entry. `cv` is
+    /// scratch for the `ΔC_s·v_s` samples.
+    fn apply(
+        &self,
+        grid: &SpectralGrid,
+        n: usize,
+        v: &[f64],
+        w: &mut [f64],
+        cv: &mut [f64],
+        grid_ws: &mut GridWorkspace,
+    ) {
+        let _span = telemetry::span("hb.matvec");
+        sample_products(&self.g_at, &self.g, n, v, w);
+        if !self.c_at.is_empty() {
+            sample_products(&self.c_at, &self.c, n, v, cv);
+            let _span_fft = telemetry::span("hb.matvec.fft");
+            telemetry::counter_add("hb.matvec.transforms", 1);
+            grid.add_dt_with(cv, w, n, grid_ws);
+        }
+    }
+
+    /// Heap bytes held, by capacity.
+    fn bytes(&self) -> usize {
+        (self.g_at.capacity() + self.c_at.capacity()) * std::mem::size_of::<Stamp>()
+            + (self.g.capacity() + self.c.capacity()) * std::mem::size_of::<f64>()
+    }
+}
+
+/// Collects into `at` the positions where some sample of `vals` differs
+/// from `mean`, and into `dev` every sample's deviation there.
+fn deviations(
+    pattern: &StampPattern,
+    samples: usize,
+    vals: &[f64],
+    mean: &[f64],
+    at: &mut Vec<Stamp>,
+    dev: &mut Vec<f64>,
+) {
+    let nnz = pattern.nnz();
+    at.clear();
+    at.extend(
+        pattern
+            .positions()
+            .enumerate()
+            .filter(|&(p, _)| (0..samples).any(|s| vals[s * nnz + p] != mean[p]))
+            .map(|(p, (i, j))| (i, j, p)),
+    );
+    dev.clear();
+    dev.extend(
+        (0..samples).flat_map(|s| at.iter().map(move |&(_, _, p)| vals[s * nnz + p] - mean[p])),
+    );
+}
+
+/// `w_s ← A_s·v_s` for every sample `s`, where `A_s` holds the values
+/// `vals[s·|at|..]` at the positions `at`.
+fn sample_products(at: &[Stamp], vals: &[f64], n: usize, v: &[f64], w: &mut [f64]) {
+    w.fill(0.0);
+    if at.is_empty() {
+        return;
+    }
+    for ((vs, ws), dev) in
+        v.chunks_exact(n).zip(w.chunks_exact_mut(n)).zip(vals.chunks_exact(at.len()))
+    {
+        for (&(i, j, _), &d) in at.iter().zip(dev) {
+            ws[i] += d * vs[j];
+        }
+    }
+}
+
+/// Preallocated buffers for the HB hot path, one instance for a whole
+/// [`solve_hb`] run (or a whole sweep), so every operator application
+/// after the first performs zero heap allocation: the stamp pattern
+/// every linearization shares, `Δ` and the Δ product's samples, GMRES's
+/// right-hand side `M⁻¹·r`, and the spectral-derivative workspace, which
+/// the residual's transform shares.
 #[derive(Debug)]
 struct HbWorkspace {
-    /// 32-byte aligned so the SIMD axpy/matvec kernels see aligned rows.
+    pattern: Arc<StampPattern>,
+    delta: Deviation,
+    /// `C·v` (or `ΔC·v`) samples; 32-byte aligned, like `dv`, so the SIMD
+    /// kernels see aligned rows.
     cv: AlignedVec<f64>,
+    /// `Δ·v`, the preconditioner's input.
+    dv: AlignedVec<f64>,
+    rhs: Vec<f64>,
+    /// The charges `q` of every sample, which the residual differentiates.
+    qall: Vec<f64>,
     grid_ws: GridWorkspace,
 }
 
@@ -247,44 +485,80 @@ impl HbWorkspace {
     fn new(grid: &SpectralGrid, n: usize) -> Self {
         let mut cv = AlignedVec::new();
         cv.resize(grid.samples() * n, 0.0);
-        HbWorkspace { cv, grid_ws: grid.workspace() }
+        let dv = cv.clone();
+        HbWorkspace {
+            pattern: Arc::new(StampPattern::empty(n)),
+            delta: Deviation::default(),
+            cv,
+            dv,
+            rhs: Vec::new(),
+            qall: Vec::new(),
+            grid_ws: grid.workspace(),
+        }
     }
 
     /// Heap bytes held, by capacity.
     fn bytes(&self) -> usize {
-        self.cv.capacity() * std::mem::size_of::<f64>() + self.grid_ws.bytes()
+        self.pattern.bytes()
+            + self.delta.bytes()
+            + (self.cv.capacity() + self.dv.capacity() + self.rhs.capacity() + self.qall.capacity())
+                * std::mem::size_of::<f64>()
+            + self.grid_ws.bytes()
     }
 }
 
-/// Matrix-free HB Jacobian application: `y = D·(C·v) + G·v`.
+/// Matrix-free HB Jacobian application: `y = D·(C·v) + G·v`. The
+/// preconditioned GMRES path applies only `Δ` (see [`apply_fused`]); this
+/// full product serves the direct and the unpreconditioned solves.
 fn apply_jacobian(
     grid: &SpectralGrid,
-    lins: &[SampleLin],
-    n: usize,
+    lin: &Linearization,
     v: &[f64],
     y: &mut [f64],
     ws: &mut HbWorkspace,
 ) {
     let _span = telemetry::span("hb.matvec");
-    for (s, lin) in lins.iter().enumerate() {
-        let vs = &v[s * n..(s + 1) * n];
-        lin.c.matvec_into(vs, &mut ws.cv[s * n..(s + 1) * n]);
-        lin.g.matvec_into(vs, &mut y[s * n..(s + 1) * n]);
+    let n = lin.pattern.dim();
+    for s in 0..lin.samples {
+        let (g, c) = lin.sample(s);
+        let at = s * n..(s + 1) * n;
+        lin.pattern.matvec(c, &v[at.clone()], &mut ws.cv[at.clone()]);
+        lin.pattern.matvec(g, &v[at.clone()], &mut y[at]);
     }
     let _span_fft = telemetry::span("hb.matvec.fft");
     grid.add_dt_with(&ws.cv, y, n, &mut ws.grid_ws);
 }
 
+/// `y ← M⁻¹J·v = v + M⁻¹·(Δ·v)`: the HB Jacobian preconditioned by
+/// `precond`, with `ws.delta` taken against it. `M = Ḡ + D·C̄` is the
+/// time-invariant part of `J`, so only `Δ`'s entries are applied, and
+/// `M⁻¹` runs the only transform pair. With `Δ` empty this is `v`.
+fn apply_fused(
+    grid: &SpectralGrid,
+    precond: &HarmonicBlockPrecond,
+    v: &[f64],
+    y: &mut [f64],
+    ws: &mut HbWorkspace,
+) -> rfsim_numerics::Result<()> {
+    y.copy_from_slice(v);
+    if ws.delta.is_empty() {
+        return Ok(());
+    }
+    let HbWorkspace { delta, cv, dv, grid_ws, .. } = ws;
+    delta.apply(grid, precond.n, v, dv, cv, grid_ws);
+    precond.solve(dv, y, |o, z| *o += z)
+}
+
 /// Per-harmonic block-diagonal preconditioner: solves
 /// `(Ḡ + jω_k·C̄)·ẑ_k = r̂_k` in the frequency domain using the
-/// sample-averaged linearizations.
+/// per-position sample averages of the linearization.
 ///
 /// The residual is real, so its coefficient at `−k` is the conjugate of
 /// that at `k`, and so is the solution's: only the non-negative half of
 /// the spectrum is factored and solved, `(samples() + 1)/2` blocks. Every
-/// block has the sparsity of `Ḡ` and `C̄` together, so one bin is
-/// analysed by a sparse LU and the others are refactored on that
-/// analysis, sharing its order, pivot sequence and factor pattern.
+/// block has the linearization's stamp pattern, so one bin is analysed
+/// by a sparse LU and the others are refactored on that analysis, sharing
+/// its order, pivot sequence and factor pattern.
 struct HarmonicBlockPrecond {
     n: usize,
     /// The half-spectrum: each bin `k` with the bin of `−k` (row-major
@@ -294,13 +568,18 @@ struct HarmonicBlockPrecond {
     blocks: Vec<SparseLu<Complex>>,
     /// Resident bytes of `blocks`: every bin's values, each analysis once.
     factor_bytes: usize,
-    /// Reusable apply buffers. `Preconditioner::apply` takes `&self`, so
-    /// interior mutability is required; one GMRES solve applies a
-    /// preconditioner at a time.
+    /// The pattern the blocks were built on, and `Ḡ`, `C̄` in its slot
+    /// order: `Δ` is taken against these.
+    pattern: Arc<StampPattern>,
+    gbar: Vec<f64>,
+    cbar: Vec<f64>,
+    /// Reusable apply buffers. The solve takes `&self`, so interior
+    /// mutability is required; one GMRES solve applies a preconditioner
+    /// at a time.
     scratch: RefCell<PrecondScratch>,
 }
 
-/// Buffers for [`HarmonicBlockPrecond`]'s apply: the real-packed
+/// Buffers for [`HarmonicBlockPrecond`]'s solve: the real-packed
 /// transform workspace, and one bin's right-hand side and solution.
 #[derive(Debug)]
 struct PrecondScratch {
@@ -309,51 +588,21 @@ struct PrecondScratch {
     sol: AlignedVec<Complex>,
 }
 
-/// The sample averages `Ḡ` and `C̄` on the union of every sample's `G`
-/// and `C` pattern: a complex matrix of that pattern (explicit zeros
-/// kept) and both averages in its value order.
-fn averaged_linearization(lins: &[SampleLin], n: usize) -> (Csr<Complex>, Vec<f64>, Vec<f64>) {
-    // Row by row, each position found accumulates in discovery order:
-    // column j of row i sits at `at[j]` once `row[j] == i`.
-    let mut t = Triplets::new(n, n);
-    let mut sums: Vec<(f64, f64)> = Vec::new();
-    let (mut row, mut at) = (vec![usize::MAX; n], vec![0; n]);
-    for i in 0..n {
-        for lin in lins {
-            for (m, is_c) in [(&lin.g, false), (&lin.c, true)] {
-                let (cols, vals) = m.row(i);
-                for (&j, &v) in cols.iter().zip(vals) {
-                    if row[j] != i {
-                        row[j] = i;
-                        at[j] = sums.len();
-                        t.push(i, j, Complex::ZERO);
-                        sums.push((0.0, 0.0));
-                    }
-                    let sum = &mut sums[at[j]];
-                    if is_c {
-                        sum.1 += v;
-                    } else {
-                        sum.0 += v;
-                    }
-                }
-            }
-        }
-    }
-    let (pattern, slots) = t.to_pattern();
-    let scale = 1.0 / lins.len() as f64;
-    let (mut gbar, mut cbar) = (vec![0.0; sums.len()], vec![0.0; sums.len()]);
-    for (&(g, c), &slot) in sums.iter().zip(&slots) {
-        gbar[slot] = g * scale;
-        cbar[slot] = c * scale;
-    }
-    (pattern, gbar, cbar)
-}
-
 impl HarmonicBlockPrecond {
-    fn new(grid: &SpectralGrid, lins: &[SampleLin], n: usize) -> Result<Self> {
+    fn new(grid: &SpectralGrid, lin: &Linearization) -> Result<Self> {
         // Average G and C over the samples (the DC Fourier component of the
         // time-varying linearization).
-        let (mut block, gbar, cbar) = averaged_linearization(lins, n);
+        let pattern = Arc::clone(&lin.pattern);
+        let (n, nnz) = (pattern.dim(), pattern.nnz());
+        let gbar = position_means(&lin.g, lin.samples, nnz);
+        let cbar = position_means(&lin.c, lin.samples, nnz);
+        let mut t = Triplets::new(n, n);
+        for (i, j) in pattern.positions() {
+            t.push(i, j, Complex::ZERO);
+        }
+        // Positions are unique and in CSR order, so the block's value
+        // order is the pattern's slot order.
+        let mut block = t.to_pattern();
         let set_bin = |block: &mut Csr<Complex>, bin: usize| {
             let omega = grid.bin_omega(bin);
             for ((v, &g), &c) in block.vals_mut().iter_mut().zip(&gbar).zip(&cbar) {
@@ -394,21 +643,32 @@ impl HarmonicBlockPrecond {
             bins,
             blocks,
             factor_bytes,
+            pattern,
+            gbar,
+            cbar,
             scratch: RefCell::new(PrecondScratch { grid: grid.workspace(), rhs, sol }),
         })
     }
 
-    /// Heap bytes held, by capacity: the factors and the apply buffers.
+    /// Whether `Δ` can be taken against this factor: it was built on
+    /// `lin`'s stamp pattern.
+    fn fits(&self, lin: &Linearization) -> bool {
+        Arc::ptr_eq(&self.pattern, &lin.pattern)
+    }
+
+    /// Heap bytes held, by capacity: the factors, the averages and the
+    /// apply buffers. The pattern is the workspace's, counted there.
     fn bytes(&self) -> usize {
         let ws = self.scratch.borrow();
         self.factor_bytes
             + self.bins.capacity() * std::mem::size_of::<(usize, usize)>()
+            + (self.gbar.capacity() + self.cbar.capacity()) * std::mem::size_of::<f64>()
             + ws.grid.bytes()
             + (ws.rhs.capacity() + ws.sol.capacity()) * std::mem::size_of::<Complex>()
     }
-}
 
-impl Preconditioner<f64> for HarmonicBlockPrecond {
+    /// `z ← M⁻¹·r`, each unknown combined into its slot by `put(o, z_i)`.
+    ///
     /// Packs `r` as in [`SpectralGrid::add_dt_with`] (unknowns `i` and
     /// `i + h`, `h = ⌈n/2⌉`, as `a + j·b`) and transforms it once. Bin `k`
     /// of the packed spectrum is `Z_k = A_k + j·B_k`, and since `a` and
@@ -416,7 +676,12 @@ impl Preconditioner<f64> for HarmonicBlockPrecond {
     /// `B_k = (Z_k − conj Z₋ₖ)/2j`. Each half-spectrum block solves for
     /// `X_k`; `X_a + j·X_b` goes to bin `k` and its conjugate pair to
     /// `−k`, and one inverse transform returns `z` packed.
-    fn apply(&self, r: &[f64], z: &mut [f64]) -> rfsim_numerics::Result<()> {
+    fn solve(
+        &self,
+        r: &[f64],
+        z: &mut [f64],
+        put: impl Fn(&mut f64, f64),
+    ) -> rfsim_numerics::Result<()> {
         let _span = telemetry::span("hb.precond.apply");
         let n = self.n;
         let h = packed_width(n);
@@ -449,7 +714,7 @@ impl Preconditioner<f64> for HarmonicBlockPrecond {
         drop(span_trsv);
         let _span_inv = telemetry::span("hb.precond.fft_inv");
         grid.inverse();
-        grid.unpack(z, n, |o, v| *o = v);
+        grid.unpack(z, n, put);
         Ok(())
     }
 }
@@ -557,7 +822,6 @@ fn solve_hb_with(
     }
 
     let mut stats = HbStats { unknowns: nun, ..Default::default() };
-    let mut stamp_cache = StampCache::default();
     // A warm start sits near the full-excitation solution already; source
     // stepping from the DC average would walk away from it.
     let steps = if warm_x.is_some() { 1 } else { opts.source_steps.max(1) };
@@ -569,7 +833,7 @@ fn solve_hb_with(
                 b_dc[i] + alpha * (b_full[si] - b_dc[i])
             })
             .collect();
-        newton_hb(dae, grid, &mut x, &b, opts, &mut stats, ws, gws, carry, &mut stamp_cache)?;
+        newton_hb(dae, grid, &mut x, &b, opts, &mut stats, ws, gws, carry)?;
     }
     telemetry::counter_add("hb.newton.iterations", stats.newton_iterations as u64);
     telemetry::counter_add("hb.gmres.iterations", stats.linear_iterations as u64);
@@ -589,9 +853,7 @@ fn newton_hb(
     ws: &RefCell<HbWorkspace>,
     gws: &mut GmresWorkspace<f64>,
     carry: &mut NewtonCarry,
-    cache: &mut StampCache,
 ) -> Result<()> {
-    let n = dae.dim();
     let nun = x.len();
     let _span = telemetry::span("hb.newton");
     let mut trace = telemetry::TraceBuf::new("hb.newton");
@@ -603,14 +865,17 @@ fn newton_hb(
     let mut first_inner: Option<usize> = None;
     let mut flagged_precond = false;
     let mut last_res = f64::INFINITY;
-    // The residual and linearizations at `x` when the line search already
-    // assembled them (`assemble` is a pure function of `x`).
-    let mut at_x: Option<(Vec<f64>, Vec<SampleLin>)> = None;
+    // `cur` holds the residual and linearization at `x` when the line
+    // search already assembled them (`assemble` is a pure function of
+    // `x`); the two buffers swap as the line search accepts a trial.
+    let (mut cur, mut trial) = (Assembly::default(), Assembly::default());
+    let mut assembled = false;
     for it in 0..opts.max_newton {
-        let (r, lins) = at_x
-            .take()
-            .unwrap_or_else(|| assemble(dae, grid, x, b, cache, &mut ws.borrow_mut().grid_ws));
-        let res = norm_inf(&r);
+        if !std::mem::take(&mut assembled) {
+            assemble(dae, grid, x, b, &mut ws.borrow_mut(), &mut cur);
+        }
+        let Assembly { r, lin: lins } = &cur;
+        let res = norm_inf(r);
         last_res = res;
         trace.push(res);
         monitor.observe(res);
@@ -638,7 +903,7 @@ fn newton_hb(
                 let mut col = vec![0.0; nun];
                 for j in 0..nun {
                     e[j] = 1.0;
-                    apply_jacobian(grid, &lins, n, &e, &mut col, &mut ws.borrow_mut());
+                    apply_jacobian(grid, lins, &e, &mut col, &mut ws.borrow_mut());
                     stats.matvecs += 1;
                     for i in 0..nun {
                         jac[(i, j)] = col[i];
@@ -646,14 +911,10 @@ fn newton_hb(
                     e[j] = 0.0;
                 }
                 stats.solver_bytes = stats.solver_bytes.max(nun * nun * 8);
-                jac.solve(&r).map_err(Error::Numerics)?
+                jac.solve(r).map_err(Error::Numerics)?
             }
             HbSolver::Gmres { precondition } => {
-                let matvecs = std::cell::Cell::new(0usize);
-                let op = FnOperator::new(nun, |v: &[f64], y: &mut [f64]| {
-                    apply_jacobian(grid, &lins, n, v, y, &mut ws.borrow_mut());
-                    matvecs.set(matvecs.get() + 1);
-                });
+                let matvecs = Cell::new(0usize);
                 let basis = (opts.krylov.restart.min(nun) + 1) * nun * 8;
                 // The Jacobian moved since the last correction, so the
                 // recycled directions' images are stale: deflating costs a
@@ -665,51 +926,44 @@ fn newton_hb(
                 // measured baseline count.
                 let recycling = carry.recycle.capacity() > 0
                     && carry.base_inner.is_some_and(|b| b >= 3 * carry.recycle.capacity().max(1));
-                if recycling {
-                    carry.recycle.refresh(&op);
-                }
                 let result = if precondition {
-                    let refactored = carry.precond.is_none();
-                    if refactored {
-                        carry.precond = Some(HarmonicBlockPrecond::new(grid, &lins, n)?);
-                        stats.precond_factorizations += 1;
-                        carry.base_inner = None;
-                    }
-                    stats.solver_bytes = stats
-                        .solver_bytes
-                        .max(carry.precond.as_ref().expect("factored above").bytes() + basis);
-                    let first_try = gmres_with(
-                        &op,
-                        &r,
-                        None,
-                        carry.precond.as_ref().expect("factored above"),
-                        &opts.krylov,
-                        gws,
-                        recycling.then_some(&mut carry.recycle),
-                    );
-                    match first_try {
-                        Err(rfsim_numerics::Error::NoConvergence { .. }) if !refactored => {
+                    // A kept factor serves only the pattern it was built on.
+                    let mut refactor = !carry.precond.as_ref().is_some_and(|p| p.fits(lins));
+                    loop {
+                        if refactor {
+                            carry.precond = Some(HarmonicBlockPrecond::new(grid, lins)?);
+                            stats.precond_factorizations += 1;
+                            carry.base_inner = None;
+                        }
+                        let precond = carry.precond.as_ref().expect("factored above");
+                        stats.solver_bytes = stats.solver_bytes.max(precond.bytes() + basis);
+                        match gmres_fused(
+                            grid,
+                            lins,
+                            precond,
+                            r,
+                            &opts.krylov,
+                            ws,
+                            gws,
+                            recycling.then_some(&mut carry.recycle),
+                            &matvecs,
+                        ) {
                             // A kept factor from an earlier linearization
                             // can stall GMRES outright; re-factor at the
                             // current point and retry once before failing.
-                            carry.precond = Some(HarmonicBlockPrecond::new(grid, &lins, n)?);
-                            stats.precond_factorizations += 1;
-                            carry.base_inner = None;
-                            gmres_with(
-                                &op,
-                                &r,
-                                None,
-                                carry.precond.as_ref().expect("just factored"),
-                                &opts.krylov,
-                                gws,
-                                recycling.then_some(&mut carry.recycle),
-                            )
+                            Err(rfsim_numerics::Error::NoConvergence { .. }) if !refactor => {
+                                refactor = true;
+                            }
+                            other => break other,
                         }
-                        other => other,
                     }
                 } else {
+                    let op = FnOperator::new(nun, |v: &[f64], y: &mut [f64]| {
+                        apply_jacobian(grid, lins, v, y, &mut ws.borrow_mut());
+                        matvecs.set(matvecs.get() + 1);
+                    });
                     stats.solver_bytes = stats.solver_bytes.max(basis);
-                    gmres_with(&op, &r, None, &IdentityPrecond, &opts.krylov, gws, None)
+                    gmres_with(&op, r, None, &IdentityPrecond, &opts.krylov, gws, None)
                 };
                 let (dx, st) = result.map_err(Error::Numerics)?;
                 telemetry::histogram_record("hb.gmres.iterations_per_newton", st.iterations as f64);
@@ -760,10 +1014,11 @@ fn newton_hb(
         let mut improved = false;
         for _ in 0..8 {
             let xt: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi - alpha * di).collect();
-            let trial = assemble(dae, grid, &xt, b, cache, &mut ws.borrow_mut().grid_ws);
-            if norm_inf(&trial.0).is_finite() && norm_inf(&trial.0) < res {
+            assemble(dae, grid, &xt, b, &mut ws.borrow_mut(), &mut trial);
+            if norm_inf(&trial.r).is_finite() && norm_inf(&trial.r) < res {
                 *x = xt;
-                at_x = Some(trial);
+                std::mem::swap(&mut cur, &mut trial);
+                assembled = true;
                 improved = true;
                 break;
             }
@@ -776,9 +1031,10 @@ fn newton_hb(
         }
     }
     // Final check.
-    let (r, _) =
-        at_x.unwrap_or_else(|| assemble(dae, grid, x, b, cache, &mut ws.borrow_mut().grid_ws));
-    let final_res = norm_inf(&r);
+    if !assembled {
+        assemble(dae, grid, x, b, &mut ws.borrow_mut(), &mut cur);
+    }
+    let final_res = norm_inf(&cur.r);
     trace.push(final_res);
     monitor.observe(final_res);
     tail.push(final_res);
@@ -792,6 +1048,58 @@ fn newton_hb(
             residual: last_res,
             residual_tail: tail.to_vec(),
         })
+    }
+}
+
+/// Solves the Newton correction `J·dx = r` by GMRES on the
+/// preconditioned operator `M⁻¹J = I + M⁻¹Δ` (see [`apply_fused`]), with
+/// right-hand side `M⁻¹·r` and no further preconditioner: the Krylov
+/// space and the stopping test of left-preconditioned GMRES on `J`, at
+/// one preconditioner solve per iteration. `Δ` is taken against
+/// `precond`'s averages, and the recycle space, if any, is refreshed
+/// against this operator. Every operator application counts in
+/// `matvecs`.
+#[allow(clippy::too_many_arguments)]
+fn gmres_fused(
+    grid: &SpectralGrid,
+    lin: &Linearization,
+    precond: &HarmonicBlockPrecond,
+    r: &[f64],
+    krylov: &KrylovOptions,
+    ws: &RefCell<HbWorkspace>,
+    gws: &mut GmresWorkspace<f64>,
+    mut recycle: Option<&mut RecycleSpace<f64>>,
+    matvecs: &Cell<usize>,
+) -> rfsim_numerics::Result<(Vec<f64>, IterStats)> {
+    // GMRES borrows the right-hand side while the operator borrows the
+    // workspace, so it leaves the workspace for the solve.
+    let mut rhs = {
+        let mut w = ws.borrow_mut();
+        w.delta.set(lin, precond);
+        std::mem::take(&mut w.rhs)
+    };
+    rhs.resize(r.len(), 0.0);
+    precond.solve(r, &mut rhs, |o, z| *o = z)?;
+    // `LinearOperator::apply` returns nothing: a failed preconditioner
+    // solve is kept here, and the operator returns zero, which ends GMRES
+    // at once (a happy breakdown) so the error can replace its result.
+    let failed = Cell::new(None);
+    let op = FnOperator::new(r.len(), |v: &[f64], y: &mut [f64]| {
+        matvecs.set(matvecs.get() + 1);
+        if let Err(e) = apply_fused(grid, precond, v, y, &mut ws.borrow_mut()) {
+            y.fill(0.0);
+            let first = failed.take();
+            failed.set(first.or(Some(e)));
+        }
+    });
+    if let Some(space) = recycle.as_deref_mut() {
+        space.refresh(&op);
+    }
+    let result = gmres_with(&op, &rhs, None, &IdentityPrecond, krylov, gws, recycle);
+    ws.borrow_mut().rhs = rhs;
+    match failed.take() {
+        Some(e) => Err(e),
+        None => result,
     }
 }
 
@@ -817,7 +1125,8 @@ struct SweepState {
 ///
 /// The first point solves cold — DC initial guess plus source stepping —
 /// and every later point starts Newton from the previous converged
-/// solution at full excitation, carrying the matvec workspace, the GMRES
+/// solution at full excitation, carrying the hot-path workspace (with the
+/// stamp pattern every linearization shares), the GMRES
 /// basis, the cached FFT plans (inside the factored preconditioner's
 /// scratch), the factored harmonic block preconditioner (so
 /// [`PrecondRefresh::Adaptive`] extends across point boundaries), and
@@ -845,8 +1154,9 @@ impl HbSweep {
     }
 
     /// Resident heap bytes of the warm state, by capacity: previous
-    /// solution, matvec workspace, GMRES workspace, preconditioner
-    /// factors and buffers, and recycle space. What a cache eviction
+    /// solution, hot-path workspace (stamp pattern, `Δ`, GMRES's right-hand
+    /// side, transform buffers), GMRES workspace, preconditioner factors,
+    /// averages and buffers, and recycle space. What a cache eviction
     /// would actually free — used by `rfsim-serve` to keep resident
     /// sweeps under a memory budget.
     pub fn state_bytes(&self) -> usize {
@@ -916,50 +1226,65 @@ impl HbSweep {
     }
 }
 
-/// The HB matvec hot path frozen at one linearization point: the
-/// matrix-free Jacobian application and the factored harmonic block
-/// preconditioner, with every buffer preallocated. [`solve_hb`] drives
-/// exactly this code each GMRES iteration; the handle exists so the
-/// allocation-regression test and profiling harnesses can exercise the
-/// steady-state loop directly.
+/// The HB hot path frozen at one linearization point: the matrix-free
+/// Jacobian application, the factored harmonic block preconditioner, and
+/// the fused preconditioned operator built from the two, with every
+/// buffer preallocated. Each GMRES iteration of [`solve_hb`] runs exactly
+/// [`HbHotPath::fused_apply`]; the handle exists so the
+/// allocation-regression test, the operator tests and profiling
+/// harnesses can exercise that loop directly.
 pub struct HbHotPath {
     grid: SpectralGrid,
-    n: usize,
-    lins: Vec<SampleLin>,
+    lin: Linearization,
     precond: HarmonicBlockPrecond,
     ws: HbWorkspace,
 }
 
 impl HbHotPath {
-    /// Assembles the linearization at the DC operating point (broadcast
-    /// over the grid) and factors the block preconditioner.
+    /// Prepares the hot path at the DC operating point broadcast over the
+    /// grid, where every sample linearizes alike and `Δ` is empty.
     ///
     /// # Errors
     /// Propagates DC-solve and factorization failures.
     pub fn prepare(dae: &dyn Dae, grid: &SpectralGrid) -> Result<Self> {
-        let n = dae.dim();
-        let total = grid.samples();
         let op = dc_operating_point(dae, &DcOptions::default())?;
-        let mut x = vec![0.0; total * n];
-        for s in 0..total {
-            x[s * n..(s + 1) * n].copy_from_slice(&op.x);
+        let x: Vec<f64> = (0..grid.samples()).flat_map(|_| op.x.iter().copied()).collect();
+        Self::prepare_at(dae, grid, &x)
+    }
+
+    /// Assembles the linearization at the sample-major `x` (`x[s·n + i]`,
+    /// for example an [`HbSolution`]'s), factors the block preconditioner
+    /// on its averages, and takes `Δ` against them.
+    ///
+    /// # Errors
+    /// [`Error::InvalidSetup`] when `x` is not `samples()·n` long, and
+    /// factorization failures.
+    pub fn prepare_at(dae: &dyn Dae, grid: &SpectralGrid, x: &[f64]) -> Result<Self> {
+        let n = dae.dim();
+        if x.len() != grid.unknowns(n) {
+            return Err(Error::InvalidSetup(format!(
+                "HB hot path: {} values for {} unknowns",
+                x.len(),
+                grid.unknowns(n)
+            )));
         }
-        let b = vec![0.0; total * n];
         let mut ws = HbWorkspace::new(grid, n);
-        let (_r, lins) = assemble(dae, grid, &x, &b, &mut StampCache::default(), &mut ws.grid_ws);
-        let precond = HarmonicBlockPrecond::new(grid, &lins, n)?;
-        Ok(HbHotPath { grid: grid.clone(), n, lins, precond, ws })
+        let mut at = Assembly::default();
+        assemble(dae, grid, x, &vec![0.0; x.len()], &mut ws, &mut at);
+        let precond = HarmonicBlockPrecond::new(grid, &at.lin)?;
+        ws.delta.set(&at.lin, &precond);
+        Ok(HbHotPath { grid: grid.clone(), lin: at.lin, precond, ws })
     }
 
     /// Total HB unknowns (`samples()·n`).
     pub fn unknowns(&self) -> usize {
-        self.grid.samples() * self.n
+        self.lin.samples * self.precond.n
     }
 
     /// `y ← J·v` through the matrix-free HB Jacobian. Zero heap
     /// allocation once the workspace is warm.
     pub fn matvec(&mut self, v: &[f64], y: &mut [f64]) {
-        apply_jacobian(&self.grid, &self.lins, self.n, v, y, &mut self.ws);
+        apply_jacobian(&self.grid, &self.lin, v, y, &mut self.ws);
     }
 
     /// `z ← M⁻¹·r` through the harmonic block preconditioner.
@@ -967,7 +1292,19 @@ impl HbHotPath {
     /// # Errors
     /// Propagates block-solve failures.
     pub fn precond_apply(&self, r: &[f64], z: &mut [f64]) -> Result<()> {
-        self.precond.apply(r, z).map_err(Error::Numerics)
+        self.precond.solve(r, z, |o, v| *o = v).map_err(Error::Numerics)
+    }
+
+    /// `y ← M⁻¹J·v = v + M⁻¹·(Δ·v)`, the operator preconditioned GMRES
+    /// iterates on: equal to `precond_apply` after `matvec`, but it
+    /// applies only `Δ = J − M`, and its one transform pair is
+    /// `M⁻¹`'s (the Δ product adds a pair only when some capacitance
+    /// varies over the period). Zero heap allocation once warm.
+    ///
+    /// # Errors
+    /// Propagates block-solve failures.
+    pub fn fused_apply(&mut self, v: &[f64], y: &mut [f64]) -> Result<()> {
+        apply_fused(&self.grid, &self.precond, v, y, &mut self.ws).map_err(Error::Numerics)
     }
 }
 
@@ -1172,6 +1509,75 @@ mod tests {
         let d2 = ckt.into_dae().unwrap();
         let sol = sweep.solve(&d2).unwrap();
         assert_eq!(sol.n, 4);
+    }
+
+    /// The stamp pattern lands each value at its own `(i, j)`: a sample
+    /// that stamps the same positions in another order (with a duplicate)
+    /// sums them where they belong, and one that stamps a new position
+    /// fails until the pattern grows, after which the earlier stamps
+    /// scatter onto it too.
+    #[test]
+    fn stamp_pattern_is_keyed_on_positions() {
+        let stamps = |entries: &[(usize, usize, f64)]| {
+            let mut t = Triplets::new(2, 2);
+            for &(i, j, v) in entries {
+                t.push(i, j, v);
+            }
+            t
+        };
+        let g = stamps(&[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
+        let c = stamps(&[(1, 1, 0.5)]);
+        let empty = StampPattern::empty(2);
+        assert!(!empty.scatter(&g, &mut []), "the empty pattern holds nothing");
+        let pattern = empty.grown(&g, &c);
+        let (mut gv, mut cv) = (vec![0.0; 3], vec![0.0; 3]);
+        assert!(pattern.scatter(&g, &mut gv) && pattern.scatter(&c, &mut cv));
+        assert_eq!(
+            (gv.as_slice(), cv.as_slice()),
+            ([1.0, 2.0, 3.0].as_slice(), [0.0, 0.0, 0.5].as_slice())
+        );
+
+        let swapped = stamps(&[(1, 1, 5.0), (0, 1, 4.0), (0, 0, 6.0), (1, 1, 1.0)]);
+        assert!(pattern.scatter(&swapped, &mut gv));
+        assert_eq!(gv, [6.0, 4.0, 6.0]);
+
+        let grown = stamps(&[(1, 0, 7.0), (0, 0, 1.0)]);
+        assert!(!pattern.scatter(&grown, &mut gv));
+        let pattern = pattern.grown(&grown, &c);
+        let mut gv = vec![0.0; 4];
+        assert!(pattern.scatter(&g, &mut gv));
+        assert_eq!(gv, [1.0, 2.0, 0.0, 3.0]);
+        assert!(pattern.scatter(&grown, &mut gv));
+        assert_eq!(gv, [1.0, 0.0, 7.0, 0.0]);
+    }
+
+    /// A sweep point whose circuit stamps a position the earlier points
+    /// did not grows the shared pattern; the carried factor, built on
+    /// the old pattern, is refactored rather than used for `Δ`.
+    #[test]
+    fn sweep_refactors_when_the_pattern_grows() {
+        let grid = SpectralGrid::single_tone(1e6, 7).unwrap();
+        let opts = HbOptions::default();
+        // Three unknowns like the clipper's, without its (a, out) position.
+        let mut ckt = Circuit::new();
+        let a = ckt.node("a");
+        let out = ckt.node("out");
+        ckt.add(VSource::sine("V1", a, Circuit::GROUND, 0.0, 0.5, 1e6));
+        ckt.add(Resistor::new("R1", a, Circuit::GROUND, 1e3));
+        ckt.add(Vccs::new("G1", out, Circuit::GROUND, a, Circuit::GROUND, 1e-4));
+        ckt.add(Resistor::new("R2", out, Circuit::GROUND, 1e3));
+        ckt.add(Diode::new("D1", out, Circuit::GROUND, 1e-14));
+        let first = ckt.into_dae().unwrap();
+        let second = clipper(0.8);
+        assert_eq!(first.dim(), second.dim());
+        let mut sweep = HbSweep::new(&grid, &opts);
+        sweep.solve(&first).unwrap();
+        let warm = sweep.solve(&second).unwrap();
+        assert!(warm.stats.precond_factorizations >= 1);
+        let cold = solve_hb(&second, &grid, &opts).unwrap();
+        for (w, c) in warm.x.iter().zip(&cold.x) {
+            assert!((w - c).abs() < 1e-6, "{w} vs {c}");
+        }
     }
 
     /// The preconditioner pays for itself on a stiff linear problem.

@@ -2,6 +2,14 @@
 //! `i + ⌈n/2⌉` into one complex line, and the block preconditioner solves
 //! only the non-negative half of the bins. These tests cover every
 //! pairing shape (`n = 1`, even `n`, odd `n`) on one- and two-tone grids.
+//!
+//! Preconditioned GMRES iterates on `M⁻¹J = I + M⁻¹Δ`, where
+//! `M = Ḡ + D·C̄` is the time-invariant part of the HB Jacobian and
+//! `Δ = J − M` holds only the entries that vary over the period. The
+//! fused-operator tests pin [`HbHotPath::fused_apply`] against the
+//! two-step `M⁻¹·(J·v)`, at a time-varying linearization where `ΔG`
+//! alone (a diode clipper) or `ΔC` too (a varactor) is non-empty, and at
+//! the DC point, where `Δ` is empty.
 
 use rfsim_circuit::dae::CircuitDae;
 use rfsim_circuit::prelude::*;
@@ -75,6 +83,46 @@ fn rlc_section(two_tone: bool) -> CircuitDae {
     dae
 }
 
+/// A diode clipper driven hard enough to conduct: its conductance varies
+/// over the period, its capacitance does not, so `ΔC` is empty.
+fn clipper() -> CircuitDae {
+    let g = Circuit::GROUND;
+    let mut ckt = Circuit::new();
+    let a = ckt.node("a");
+    let out = ckt.node("out");
+    ckt.add(VSource::sine("V1", a, g, 0.0, 2.0, F_SLOW));
+    ckt.add(Resistor::new("R1", a, out, 1e3));
+    ckt.add(Diode::new("D1", out, g, 1e-14));
+    ckt.add(Capacitor::new("C1", out, g, 1e-10));
+    ckt.into_dae().unwrap()
+}
+
+/// R 1 kΩ into a varactor (c0 1 nF) ∥ 10 kΩ, driven at 1 ± 0.9 V: the
+/// capacitance varies over the period, so `ΔC` is non-empty. With
+/// `two_tone` a current source adds a second tone on the fast axis.
+fn varactor(two_tone: bool) -> CircuitDae {
+    let g = Circuit::GROUND;
+    let mut ckt = Circuit::new();
+    let a = ckt.node("a");
+    let out = ckt.node("out");
+    ckt.add(VSource::sine("V1", a, g, 1.0, 0.9, F_SLOW));
+    ckt.add(Resistor::new("R1", a, out, 1e3));
+    ckt.add(Varactor::new("CV", g, out, 1e-9));
+    ckt.add(Resistor::new("R2", out, g, 10e3));
+    if two_tone {
+        ckt.add(ISource::new("I2", g, out, Stimulus::sine_fast(0.0, 2e-4, F_FAST)));
+    }
+    ckt.into_dae().unwrap()
+}
+
+fn probe(len: usize) -> Vec<f64> {
+    (0..len).map(|i| (0.37 * i as f64).sin() + 0.2).collect()
+}
+
+fn max_abs(v: impl Iterator<Item = f64>) -> f64 {
+    v.fold(0.0, |m, x| m.max(x.abs()))
+}
+
 /// The circuits of both tests: `n = 1…4` as RC chains, 5 as the RLC
 /// section.
 fn linear_cases(two_tone: bool) -> Vec<CircuitDae> {
@@ -91,7 +139,7 @@ fn linear_cases(two_tone: bool) -> Vec<CircuitDae> {
 fn check_precond_inverts_jacobian(grid: &SpectralGrid, dae: &CircuitDae) {
     let mut hot = HbHotPath::prepare(dae, grid).unwrap();
     let nun = hot.unknowns();
-    let v: Vec<f64> = (0..nun).map(|i| (0.37 * i as f64).sin() + 0.2).collect();
+    let v = probe(nun);
     let mut jv = vec![0.0; nun];
     let mut back = vec![0.0; nun];
     hot.matvec(&v, &mut jv);
@@ -116,7 +164,8 @@ fn precond_inverts_a_linear_jacobian_two_tone() {
 }
 
 /// Preconditioned GMRES and the dense direct solve reach the same
-/// solution within 1e-9 on a nonlinear circuit.
+/// solution within 1e-9 on a nonlinear circuit: a diode's conductance
+/// varies over the period, a varactor's capacitance too.
 fn check_gmres_matches_direct(grid: &SpectralGrid, dae: &CircuitDae) {
     let n = dae.dim();
     let gmres = solve_hb(dae, grid, &HbOptions::default()).unwrap();
@@ -132,11 +181,61 @@ fn gmres_matches_direct_single_tone_every_pairing() {
     for n in [1, 2, 3, 4] {
         check_gmres_matches_direct(&single_tone(), &rc_chain(n, false, true));
     }
+    check_gmres_matches_direct(&single_tone(), &varactor(false));
 }
 
 #[test]
 fn gmres_matches_direct_two_tone_every_pairing() {
     for n in [1, 2, 3, 4] {
         check_gmres_matches_direct(&two_tone(), &rc_chain(n, true, true));
+    }
+    check_gmres_matches_direct(&two_tone(), &varactor(true));
+}
+
+/// At the converged solution, the fused apply equals `M⁻¹·(J·v)` within
+/// 1e-12 relative, and differs from `v`: `Δ` is non-empty there.
+fn check_fused_matches_two_step(dae: &CircuitDae, grid: &SpectralGrid) {
+    let sol = solve_hb(dae, grid, &HbOptions::default()).unwrap();
+    let mut hot = HbHotPath::prepare_at(dae, grid, &sol.x).unwrap();
+    let v = probe(hot.unknowns());
+    let mut jv = vec![0.0; v.len()];
+    let mut two_step = vec![0.0; v.len()];
+    let mut fused = vec![0.0; v.len()];
+    hot.matvec(&v, &mut jv);
+    hot.precond_apply(&jv, &mut two_step).unwrap();
+    hot.fused_apply(&v, &mut fused).unwrap();
+    let scale = max_abs(two_step.iter().copied());
+    let err = max_abs(fused.iter().zip(&two_step).map(|(f, t)| f - t));
+    assert!(err <= 1e-12 * scale, "fused vs two-step: {err:e} of {scale:e}");
+    let moved = max_abs(fused.iter().zip(&v).map(|(f, v)| f - v));
+    assert!(moved > 1e-6 * scale, "Δ is empty at a time-varying linearization");
+}
+
+#[test]
+fn fused_apply_matches_two_step_with_conductance_varying() {
+    check_fused_matches_two_step(&clipper(), &single_tone());
+}
+
+#[test]
+fn fused_apply_matches_two_step_with_capacitance_varying() {
+    check_fused_matches_two_step(&varactor(false), &single_tone());
+    check_fused_matches_two_step(&varactor(true), &two_tone());
+}
+
+/// At the DC operating point every sample linearizes alike, so each
+/// entry's average is the entry itself, `Δ` is empty, and the fused
+/// apply gives `v` back bit for bit.
+#[test]
+fn fused_apply_is_identity_at_dc() {
+    for (dae, grid) in
+        [(clipper(), single_tone()), (varactor(false), single_tone()), (varactor(true), two_tone())]
+    {
+        let mut hot = HbHotPath::prepare(&dae, &grid).unwrap();
+        let v = probe(hot.unknowns());
+        let mut y = vec![0.0; v.len()];
+        hot.fused_apply(&v, &mut y).unwrap();
+        for (i, (a, b)) in v.iter().zip(&y).enumerate() {
+            assert_eq!(a.to_bits(), b.to_bits(), "entry {i}: {a} vs {b}");
+        }
     }
 }
