@@ -357,13 +357,6 @@ impl CircuitDae {
         self.eval(x, &mut f, &mut q, &mut g, &mut c);
         (g.to_csr(), c.to_csr())
     }
-
-    /// The excitation vector at time `t` as a dense vector.
-    pub fn b_vector(&self, t: TwoTime) -> Vec<f64> {
-        let mut b = vec![0.0; self.dim];
-        self.eval_b(t, &mut b);
-        b
-    }
 }
 
 impl Dae for CircuitDae {
@@ -462,7 +455,8 @@ mod tests {
     #[test]
     fn b_vector_carries_source() {
         let dae = divider();
-        let b = dae.b_vector(TwoTime::uni(0.0));
+        let mut b = vec![0.0; dae.dim()];
+        dae.eval_b(TwoTime::uni(0.0), &mut b);
         // VSource branch equation RHS = 2.0.
         assert_eq!(b[2], 2.0);
         assert_eq!(b[0], 0.0);

@@ -3,12 +3,13 @@
 
 use crate::dae::{Dae, TwoTime};
 use crate::netlist::NodeId;
+use crate::newton::Newton;
 use crate::{Error, Result};
 use rfsim_numerics::sparse::Triplets;
-use rfsim_numerics::{norm2, norm_inf};
 use rfsim_telemetry as telemetry;
 
-/// Options controlling the DC Newton iteration.
+/// Options of a Newton iteration: the DC operating point's, and the
+/// per-step solves of transient and shooting.
 #[derive(Debug, Clone, Copy)]
 pub struct DcOptions {
     /// Absolute residual tolerance (A for node eqs, V for branch eqs).
@@ -54,95 +55,49 @@ impl OperatingPoint {
     }
 }
 
-/// Solves `f(x) = b` (with `b` frozen at its DC value) by damped Newton.
-///
-/// This is the core iteration reused by transient (inside each time step),
-/// shooting, and harmonic balance (in its time-domain preconditioner).
-/// `scale_b` scales the excitation (used by source stepping) and
-/// `gmin_extra` adds a conductance to every node diagonal (gmin stepping).
-///
-/// # Errors
-/// [`Error::NewtonNoConvergence`] when the iteration stalls;
-/// [`Error::Numerics`] on singular Jacobians.
-pub fn newton_solve(
+/// Solves `f(x) + gmin·x = b` (with `b` frozen at its DC value) in place
+/// on the shared Newton kernel. `gmin` adds a conductance to every
+/// diagonal (gmin stepping); a continuation that scales `b` passes the
+/// scaled excitation (source stepping).
+fn newton_dc(
+    newton: &mut Newton,
     dae: &dyn Dae,
-    x0: &[f64],
+    x: &mut [f64],
     b: &[f64],
     opts: &DcOptions,
-    gmin_extra: f64,
-) -> Result<(Vec<f64>, usize)> {
-    let n = dae.dim();
+    gmin: f64,
+) -> Result<usize> {
     let _span = telemetry::span("dc.newton");
-    let mut trace = telemetry::TraceBuf::new("dc.newton");
-    let mut x = x0.to_vec();
-    let mut f = vec![0.0; n];
-    let mut q = vec![0.0; n];
-    let mut g = Triplets::new(n, n);
-    let mut c = Triplets::new(n, n);
-    let mut last_res = f64::INFINITY;
-    for it in 0..opts.max_iters {
-        dae.eval(&x, &mut f, &mut q, &mut g, &mut c);
-        // Residual r = f(x) − b (+ gmin·x on node equations).
-        let mut r: Vec<f64> = f.iter().zip(b).map(|(fi, bi)| fi - bi).collect();
-        if gmin_extra > 0.0 {
+    let n = dae.dim();
+    let (mut f, mut q, mut c) = (vec![0.0; n], vec![0.0; n], Triplets::new(n, n));
+    let solved = newton.solve(x, opts, |x, r, jac| {
+        dae.eval(x, &mut f, &mut q, jac, &mut c);
+        for i in 0..n {
+            r[i] = f[i] - b[i] + gmin * x[i];
+        }
+        if gmin > 0.0 {
             for i in 0..n {
-                r[i] += gmin_extra * x[i];
+                jac.push(i, i, gmin);
             }
         }
-        let res = norm_inf(&r);
-        last_res = res;
-        trace.push(res);
-        if res < opts.abstol {
-            telemetry::counter_add("dc.newton.iterations", it as u64);
-            trace.commit(true);
-            return Ok((x, it));
-        }
-        let mut jac = g.clone();
-        if gmin_extra > 0.0 {
-            for i in 0..n {
-                jac.push(i, i, gmin_extra);
-            }
-        }
-        let a = jac.to_csr();
-        let dx = a.solve(&r).map_err(Error::Numerics)?;
-        // Damped update: halve the step until the residual does not blow up
-        // (simple line search, max 8 halvings).
-        let mut alpha = 1.0;
-        let base_norm = norm2(&r);
-        for _ in 0..8 {
-            let xt: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi - alpha * di).collect();
-            dae.eval(&xt, &mut f, &mut q, &mut g, &mut c);
-            let mut rt: Vec<f64> = f.iter().zip(b).map(|(fi, bi)| fi - bi).collect();
-            if gmin_extra > 0.0 {
-                for i in 0..n {
-                    rt[i] += gmin_extra * xt[i];
-                }
-            }
-            if norm2(&rt).is_finite() && (norm2(&rt) <= base_norm || alpha < 0.02) {
-                x = xt;
-                break;
-            }
-            alpha *= 0.5;
-        }
-        // Convergence also when the update stalls below reltol.
-        let dx_norm = norm_inf(&dx) * alpha;
-        let x_norm = norm_inf(&x).max(1.0);
-        if dx_norm < opts.reltol * x_norm && res < 1e3 * opts.abstol {
-            telemetry::counter_add("dc.newton.iterations", it as u64 + 1);
-            trace.commit(true);
-            return Ok((x, it + 1));
-        }
-    }
-    telemetry::counter_add("dc.newton.iterations", opts.max_iters as u64);
-    trace.commit(false);
-    Err(Error::NewtonNoConvergence { iterations: opts.max_iters, residual: last_res })
+        opts.abstol
+    });
+    let iterations = match &solved {
+        Ok(it) | Err(Error::NewtonNoConvergence { iterations: it, .. }) => *it,
+        Err(_) => 0,
+    };
+    telemetry::counter_add("dc.newton.iterations", iterations as u64);
+    solved
 }
 
 /// Finds the DC operating point of a DAE.
 ///
 /// Strategy: plain Newton from zero; on failure, gmin stepping (decade
 /// reduction of an added node conductance); on failure, source stepping
-/// (ramping `b` from 0 to 1). This is the standard SPICE escalation.
+/// (ramping `b` from 0 to 1). This is the standard SPICE escalation. All
+/// three run on one [`Newton`] kernel, so the Jacobian is analysed once
+/// (again when gmin stepping adds diagonal positions) and refactored on
+/// every later iteration.
 ///
 /// # Errors
 /// [`Error::NewtonNoConvergence`] if every strategy fails.
@@ -150,49 +105,33 @@ pub fn dc_operating_point(dae: &dyn Dae, opts: &DcOptions) -> Result<OperatingPo
     let _span = telemetry::span("dc.operating_point");
     telemetry::counter_add("dc.operating_point.solves", 1);
     let n = dae.dim();
-    let b = {
-        let mut b = vec![0.0; n];
-        dae.eval_b(TwoTime::uni(0.0), &mut b);
-        b
-    };
-    let x0 = vec![0.0; n];
-    let nn = n; // for OperatingPoint::voltage bounds check we only need an upper bound
-                // 1. Plain Newton.
-    if let Ok((x, iters)) = newton_solve(dae, &x0, &b, opts, 0.0) {
-        return Ok(OperatingPoint { x, iterations: iters, nn });
+    let mut b = vec![0.0; n];
+    dae.eval_b(TwoTime::uni(0.0), &mut b);
+    let mut newton = Newton::traced("dc.newton");
+    // 1. Plain Newton.
+    let mut x = vec![0.0; n];
+    if let Ok(iterations) = newton_dc(&mut newton, dae, &mut x, &b, opts, 0.0) {
+        return Ok(OperatingPoint { x, iterations, nn: n });
     }
-    // 2. Gmin stepping.
+    // 2. Gmin stepping: gmin from 1 down by decades, then 0.
+    x.fill(0.0);
     let mut total = 0;
-    let mut x = x0.clone();
-    let mut ok = true;
-    for k in (0..=opts.gmin_steps).rev() {
-        // gmin from 1e-0 down to 0 logarithmically: 10^{-(steps-k)}… simpler:
+    let stepped = (0..=opts.gmin_steps).rev().all(|k| {
         let gmin = if k == 0 { 0.0 } else { 10f64.powi(-((opts.gmin_steps - k) as i32)) };
-        match newton_solve(dae, &x, &b, opts, gmin) {
-            Ok((xs, it)) => {
-                x = xs;
-                total += it;
-            }
-            Err(_) => {
-                ok = false;
-                break;
-            }
-        }
-    }
-    if ok {
-        return Ok(OperatingPoint { x, iterations: total, nn });
+        newton_dc(&mut newton, dae, &mut x, &b, opts, gmin).map(|it| total += it).is_ok()
+    });
+    if stepped {
+        return Ok(OperatingPoint { x, iterations: total, nn: n });
     }
     // 3. Source stepping.
-    let mut x = x0;
+    x.fill(0.0);
     let mut total = 0;
     for k in 1..=opts.source_steps {
         let frac = k as f64 / opts.source_steps as f64;
         let bk: Vec<f64> = b.iter().map(|v| v * frac).collect();
-        let (xs, it) = newton_solve(dae, &x, &bk, opts, 0.0)?;
-        x = xs;
-        total += it;
+        total += newton_dc(&mut newton, dae, &mut x, &bk, opts, 0.0)?;
     }
-    Ok(OperatingPoint { x, iterations: total, nn })
+    Ok(OperatingPoint { x, iterations: total, nn: n })
 }
 
 #[cfg(test)]

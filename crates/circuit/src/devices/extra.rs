@@ -147,12 +147,6 @@ impl Varactor {
         Varactor { name: name.into(), anode, cathode, c0, phi: 0.7, gamma: 0.5 }
     }
 
-    /// Sets the grading coefficient γ.
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        self.gamma = gamma;
-        self
-    }
-
     /// Charge and capacitance at reverse voltage `vr` (cathode − anode).
     /// Charge is measured on the cathode.
     pub fn qc(&self, vr: f64) -> (f64, f64) {
@@ -316,7 +310,7 @@ mod tests {
     fn varactor_charge_consistent_with_capacitance() {
         let mut ckt = Circuit::new();
         let a = ckt.node("a");
-        let v = Varactor::new("CV1", a, Circuit::GROUND, 2e-12).with_gamma(0.4);
+        let v = Varactor { gamma: 0.4, ..Varactor::new("CV1", a, Circuit::GROUND, 2e-12) };
         // dq/dv ≈ C by finite difference across the bias range.
         for vr in [-0.2, 0.0, 1.0, 3.0, 10.0] {
             let eps = 1e-6;

@@ -159,12 +159,6 @@ impl Bjt {
         Bjt { polarity: BjtPolarity::Pnp, ..Self::npn(name, collector, base, emitter, is, beta_f) }
     }
 
-    /// Sets the reverse beta.
-    pub fn with_beta_r(mut self, beta_r: f64) -> Self {
-        self.beta_r = beta_r;
-        self
-    }
-
     /// Adds a base-current 1/f noise corner (Hz).
     pub fn with_flicker_corner(mut self, corner: f64) -> Self {
         self.flicker_corner = corner;

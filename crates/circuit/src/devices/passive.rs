@@ -30,12 +30,6 @@ impl Resistor {
         Resistor { name: name.into(), a, b, resistance, temperature: 300.0, noiseless: false }
     }
 
-    /// Sets the device temperature in kelvin (affects thermal noise only).
-    pub fn with_temperature(mut self, kelvin: f64) -> Self {
-        self.temperature = kelvin;
-        self
-    }
-
     /// Disables the thermal noise generator (ideal resistor).
     pub fn noiseless(mut self) -> Self {
         self.noiseless = true;

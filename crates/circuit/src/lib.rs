@@ -41,13 +41,14 @@ pub mod dae;
 pub mod dc;
 pub mod devices;
 pub mod netlist;
+pub mod newton;
 pub mod noise;
 pub mod parser;
 pub mod transient;
 pub mod waveform;
 
 pub use dae::{CircuitDae, Dae, LoadCtx, SrcCtx};
-pub use dc::{dc_operating_point, newton_solve, DcOptions, OperatingPoint};
+pub use dc::{dc_operating_point, DcOptions, OperatingPoint};
 pub use netlist::{Circuit, NodeId};
 pub use transient::{transient, Integrator, TranOptions, TranResult};
 

@@ -108,24 +108,9 @@ impl Circuit {
         self.node_names.iter().position(|n| n == name).map(NodeId)
     }
 
-    /// Name of a node.
-    pub fn node_name(&self, id: NodeId) -> &str {
-        &self.node_names[id.0]
-    }
-
-    /// Number of nodes including ground.
-    pub fn node_count(&self) -> usize {
-        self.node_names.len()
-    }
-
     /// Adds a device to the circuit.
     pub fn add(&mut self, device: impl Device + 'static) {
         self.devices.push(Box::new(device));
-    }
-
-    /// Adds a boxed device (for parser-constructed netlists).
-    pub fn add_boxed(&mut self, device: Box<dyn Device>) {
-        self.devices.push(device);
     }
 
     /// Number of devices.
@@ -179,10 +164,8 @@ mod tests {
         let b = c.node("b");
         assert_eq!(a, a2);
         assert_ne!(a, b);
-        assert_eq!(c.node_name(a), "a");
         assert_eq!(c.find_node("b"), Some(b));
         assert_eq!(c.find_node("zzz"), None);
-        assert_eq!(c.node_count(), 3);
     }
 
     #[test]

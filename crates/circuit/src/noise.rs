@@ -67,26 +67,20 @@ pub fn noise_sweep(dae: &dyn Dae, x_op: &[f64], out: NodeId, freqs: &[f64]) -> R
     let mut contributions = vec![vec![0.0; freqs.len()]; sources.len()];
     for (k, &fq) in freqs.iter().enumerate() {
         let omega = 2.0 * std::f64::consts::PI * fq;
-        // Adjoint system: Aᴴ z = e_out  ⇔  (Aᵀ)* z = e_out. We solve with
-        // the conjugate-transposed matrix directly.
+        // Adjoint system Aᴴ·z = e_out. With e_out real, z = conj(y) for
+        // Aᵀ·y = e_out, which A's own factors solve.
         let a = complex_system(&g, &c, omega);
-        let ah = {
-            let mut t = Triplets::new(n, n);
-            for (i, j, v) in a.iter() {
-                t.push(j, i, v.conj());
-            }
-            t.to_csr()
-        };
         let mut e = vec![Complex::ZERO; n];
         e[out_idx] = Complex::ONE;
-        let z = ah.solve(&e)?;
+        let y = a.lu()?.solve_transposed(&e)?;
         for (s, src) in sources.iter().enumerate() {
-            // Transfer from source current to output: zᴴ·col (col is real).
+            // Transfer from source current to output: zᴴ·col = Σ yᵢ·colᵢ
+            // (col is real).
             let col = src.column(n, fq);
             let mut tf = Complex::ZERO;
             for i in 0..n {
                 if col[i] != 0.0 {
-                    tf += z[i].conj() * Complex::from_re(col[i]);
+                    tf += y[i] * Complex::from_re(col[i]);
                 }
             }
             let p = tf.abs_sq();

@@ -28,7 +28,7 @@ use crate::devices::{
     Bjt, Capacitor, Cccs, Ccvs, Diode, ISource, Inductor, Mosfet, Resistor, VSource, Vccs, Vcvs,
 };
 use crate::netlist::Circuit;
-use crate::waveform::{Stimulus, TimeScale, Tone};
+use crate::waveform::{Stimulus, TimeScale};
 use crate::{Error, Result};
 
 /// Parses an engineering-notation value such as `1k`, `2.2u`, `3meg`.
@@ -306,15 +306,6 @@ pub fn parse_netlist(text: &str) -> Result<Circuit> {
     Ok(ckt)
 }
 
-/// Parses tones like `1.0@1k` used by example CLIs: amplitude at frequency.
-///
-/// # Errors
-/// Returns a message for malformed specs.
-pub fn parse_tone(spec: &str) -> std::result::Result<Tone, String> {
-    let (a, f) = spec.split_once('@').ok_or_else(|| format!("tone `{spec}`: expected amp@freq"))?;
-    Ok(Tone::new(parse_value(a)?, parse_value(f)?))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -445,13 +436,5 @@ mod tests {
         ] {
             assert_eq!(parse_error(&format!("* header\n{card}")).0, 2, "{card}");
         }
-    }
-
-    #[test]
-    fn tone_spec() {
-        let t = parse_tone("0.1@900meg").unwrap();
-        assert_eq!(t.amplitude, 0.1);
-        assert_eq!(t.freq, 900e6);
-        assert!(parse_tone("nope").is_err());
     }
 }

@@ -5,9 +5,10 @@
 //! local-truncation-error-based adaptive time stepping.
 
 use crate::dae::{Dae, TwoTime};
-use crate::{Error, Result};
+use crate::newton::Newton;
+use crate::Result;
+use rfsim_numerics::norm_inf;
 use rfsim_numerics::sparse::Triplets;
-use rfsim_numerics::{norm2, norm_inf};
 use rfsim_telemetry as telemetry;
 
 /// Time integration formula.
@@ -85,53 +86,6 @@ impl TranResult {
     }
 }
 
-/// One implicit time step: solves
-/// `q(x)·a0 + f(x) = b(t) + rhs_hist` for `x`, where `a0` and `rhs_hist`
-/// encode the chosen integration formula's history.
-#[allow(clippy::too_many_arguments)]
-fn implicit_step(
-    dae: &dyn Dae,
-    x_guess: &[f64],
-    b: &[f64],
-    a0: f64,
-    hist: &[f64],
-    opts: &crate::dc::DcOptions,
-) -> Result<(Vec<f64>, usize)> {
-    let n = dae.dim();
-    let mut x = x_guess.to_vec();
-    let mut f = vec![0.0; n];
-    let mut q = vec![0.0; n];
-    let mut g = Triplets::new(n, n);
-    let mut c = Triplets::new(n, n);
-    let mut last_res = f64::INFINITY;
-    for it in 0..opts.max_iters {
-        dae.eval(&x, &mut f, &mut q, &mut g, &mut c);
-        // r = a0·q(x) + f(x) − b − hist
-        let r: Vec<f64> = (0..n).map(|i| a0 * q[i] + f[i] - b[i] - hist[i]).collect();
-        let res = norm_inf(&r);
-        last_res = res;
-        if res < opts.abstol.max(1e-9 * norm_inf(&f)) {
-            return Ok((x, it));
-        }
-        // J = a0·C + G
-        let jac = c.to_csr().add_scaled(a0, &g.to_csr(), 1.0);
-        let dx = jac.solve(&r).map_err(Error::Numerics)?;
-        let mut alpha = 1.0;
-        let base = norm2(&r);
-        for _ in 0..6 {
-            let xt: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi - alpha * di).collect();
-            dae.eval(&xt, &mut f, &mut q, &mut g, &mut c);
-            let rt: Vec<f64> = (0..n).map(|i| a0 * q[i] + f[i] - b[i] - hist[i]).collect();
-            if norm2(&rt).is_finite() && (norm2(&rt) <= base || alpha < 0.05) {
-                x = xt;
-                break;
-            }
-            alpha *= 0.5;
-        }
-    }
-    Err(Error::NewtonNoConvergence { iterations: opts.max_iters, residual: last_res })
-}
-
 /// Runs a transient analysis of `dae` from `t0` to `t1`.
 ///
 /// # Errors
@@ -150,35 +104,25 @@ pub fn transient(dae: &dyn Dae, t0: f64, t1: f64, opts: &TranOptions) -> Result<
     let mut newton_total = 0usize;
     let mut rejected = 0usize;
 
-    let eval_q = |x: &[f64]| -> Vec<f64> {
-        let mut f = vec![0.0; n];
-        let mut q = vec![0.0; n];
-        let mut g = Triplets::new(n, n);
-        let mut c = Triplets::new(n, n);
-        dae.eval(x, &mut f, &mut q, &mut g, &mut c);
-        q
-    };
-
+    // Each step solves `a0·q(x) + f(x) = b(t) + hist` for `x` on one
+    // Newton kernel, where `a0` and `hist` encode the integration
+    // formula's history. The buffers hold the DAE at the kernel's last
+    // evaluation, which is at the `x` it leaves: first the DC point.
+    let mut newton = Newton::default();
+    let (mut f, mut q, mut c) = (vec![0.0; n], vec![0.0; n], Triplets::new(n, n));
+    dae.eval(&x0, &mut f, &mut q, &mut Triplets::new(n, n), &mut c);
     let mut x_prev = x0;
-    let mut q_prev = eval_q(&x_prev);
-    let mut qdot_prev: Vec<f64> = {
-        // q̇(t0) = b(t0) − f(x0): consistent initialization.
-        let mut f = vec![0.0; n];
-        let mut q = vec![0.0; n];
-        let mut g = Triplets::new(n, n);
-        let mut c = Triplets::new(n, n);
-        dae.eval(&x_prev, &mut f, &mut q, &mut g, &mut c);
-        let mut b = vec![0.0; n];
-        dae.eval_b(TwoTime::uni(t0), &mut b);
-        (0..n).map(|i| b[i] - f[i]).collect()
-    };
+    let mut q_prev = q.clone();
+    // q̇(t0) = b(t0) − f(x0): consistent initialization.
+    let mut b = vec![0.0; n];
+    dae.eval_b(TwoTime::uni(t0), &mut b);
+    let mut qdot_prev: Vec<f64> = (0..n).map(|i| b[i] - f[i]).collect();
     // Second history point for Gear2 (filled after the first step).
     let mut q_prev2: Option<Vec<f64>> = None;
     let mut h_prev = opts.dt;
 
     let mut t = t0;
     let mut h = opts.dt;
-    let mut b = vec![0.0; n];
     while t < t1 - 1e-15 * t1.abs().max(1.0) {
         let h_eff = h.min(t1 - t);
         let t_new = t + h_eff;
@@ -205,9 +149,20 @@ pub fn transient(dae: &dyn Dae, t0: f64, t1: f64, opts: &TranOptions) -> Result<
                 }
             },
         };
-        let step = implicit_step(dae, &x_prev, &b, a0, &hist, &opts.newton);
-        let (x_new, iters) = match step {
-            Ok(v) => v,
+        let mut x_new = x_prev.clone();
+        let step = newton.solve(&mut x_new, &opts.newton, |x, r, jac| {
+            // J = G + a0·C, with G stamped in place.
+            dae.eval(x, &mut f, &mut q, jac, &mut c);
+            for i in 0..n {
+                r[i] = a0 * q[i] + f[i] - b[i] - hist[i];
+            }
+            for &(i, j, v) in c.entries() {
+                jac.push(i, j, a0 * v);
+            }
+            opts.newton.abstol.max(1e-9 * norm_inf(&f))
+        });
+        let iters = match step {
+            Ok(iters) => iters,
             Err(e) => {
                 if opts.adaptive && h_eff > opts.dt * 1e-6 {
                     h = h_eff / 4.0;
@@ -218,7 +173,7 @@ pub fn transient(dae: &dyn Dae, t0: f64, t1: f64, opts: &TranOptions) -> Result<
             }
         };
         newton_total += iters;
-        let q_new = eval_q(&x_new);
+        let q_new = q.clone();
         let qdot_new: Vec<f64> = match opts.integrator {
             Integrator::BackwardEuler | Integrator::Gear2 => {
                 (0..n).map(|i| (q_new[i] - q_prev[i]) / h_eff).collect()

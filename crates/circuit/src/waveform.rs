@@ -172,25 +172,6 @@ impl Stimulus {
         }
     }
 
-    /// Evaluates at a univariate time.
-    pub fn eval_uni(&self, t: f64) -> f64 {
-        self.eval(TwoTime::uni(t))
-    }
-
-    /// The DC (time-average-at-zero) value used as the starting excitation
-    /// for operating-point analysis: all AC content evaluated at `t = 0`
-    /// is suppressed, offsets retained.
-    pub fn dc_value(&self) -> f64 {
-        match self {
-            Stimulus::Dc(v) => *v,
-            Stimulus::Sine { offset, .. } => *offset,
-            Stimulus::Square { offset, .. } => *offset,
-            Stimulus::Pulse { low, .. } => *low,
-            Stimulus::Pwl { points, .. } => points.first().map_or(0.0, |p| p.1),
-            Stimulus::MultiTone { offset, .. } => *offset,
-        }
-    }
-
     /// Fundamental frequencies present, paired with their time scales.
     /// (Used by HB/MPDE to choose analysis frequencies.)
     pub fn frequencies(&self) -> Vec<(f64, TimeScale)> {
@@ -212,26 +193,24 @@ mod tests {
     #[test]
     fn dc_is_constant() {
         let s = Stimulus::Dc(3.0);
-        assert_eq!(s.eval_uni(0.0), 3.0);
-        assert_eq!(s.eval_uni(1e9), 3.0);
-        assert_eq!(s.dc_value(), 3.0);
+        assert_eq!(s.eval(TwoTime::uni(0.0)), 3.0);
+        assert_eq!(s.eval(TwoTime::uni(1e9)), 3.0);
     }
 
     #[test]
     fn sine_peaks_at_quarter_period() {
         let s = Stimulus::sine(1.0, 2.0, 10.0);
-        assert!((s.eval_uni(0.025) - 3.0).abs() < 1e-12);
-        assert!((s.eval_uni(0.0) - 1.0).abs() < 1e-12);
-        assert_eq!(s.dc_value(), 1.0);
+        assert!((s.eval(TwoTime::uni(0.025)) - 3.0).abs() < 1e-12);
+        assert!((s.eval(TwoTime::uni(0.0)) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn square_alternates() {
         let s = Stimulus::square_fast(1.0, 100.0);
-        assert_eq!(s.eval_uni(0.001), 1.0);
-        assert_eq!(s.eval_uni(0.006), -1.0);
+        assert_eq!(s.eval(TwoTime::uni(0.001)), 1.0);
+        assert_eq!(s.eval(TwoTime::uni(0.006)), -1.0);
         // Periodicity.
-        assert_eq!(s.eval_uni(0.001), s.eval_uni(0.011));
+        assert_eq!(s.eval(TwoTime::uni(0.001)), s.eval(TwoTime::uni(0.011)));
     }
 
     #[test]
@@ -246,12 +225,12 @@ mod tests {
             period: 1.0,
             scale: TimeScale::Slow,
         };
-        assert_eq!(s.eval_uni(0.5), 0.0); // before delay
-        assert!((s.eval_uni(1.05) - 0.5).abs() < 1e-12); // mid-rise
-        assert_eq!(s.eval_uni(1.2), 1.0); // plateau
-        assert!((s.eval_uni(1.45) - 0.5).abs() < 1e-12); // mid-fall
-        assert_eq!(s.eval_uni(1.9), 0.0); // off
-        assert_eq!(s.eval_uni(2.2), 1.0); // next period plateau
+        assert_eq!(s.eval(TwoTime::uni(0.5)), 0.0); // before delay
+        assert!((s.eval(TwoTime::uni(1.05)) - 0.5).abs() < 1e-12); // mid-rise
+        assert_eq!(s.eval(TwoTime::uni(1.2)), 1.0); // plateau
+        assert!((s.eval(TwoTime::uni(1.45)) - 0.5).abs() < 1e-12); // mid-fall
+        assert_eq!(s.eval(TwoTime::uni(1.9)), 0.0); // off
+        assert_eq!(s.eval(TwoTime::uni(2.2)), 1.0); // next period plateau
     }
 
     #[test]
@@ -260,10 +239,10 @@ mod tests {
             points: vec![(0.0, 0.0), (1.0, 2.0), (2.0, 0.0)],
             scale: TimeScale::Slow,
         };
-        assert_eq!(s.eval_uni(-1.0), 0.0);
-        assert!((s.eval_uni(0.5) - 1.0).abs() < 1e-12);
-        assert!((s.eval_uni(1.5) - 1.0).abs() < 1e-12);
-        assert_eq!(s.eval_uni(5.0), 0.0);
+        assert_eq!(s.eval(TwoTime::uni(-1.0)), 0.0);
+        assert!((s.eval(TwoTime::uni(0.5)) - 1.0).abs() < 1e-12);
+        assert!((s.eval(TwoTime::uni(1.5)) - 1.0).abs() < 1e-12);
+        assert_eq!(s.eval(TwoTime::uni(5.0)), 0.0);
     }
 
     #[test]

@@ -63,11 +63,6 @@ impl BivariateWaveform {
         self.data[(i1 * self.n2 + i2) * self.n + k]
     }
 
-    /// Mutable grid value.
-    pub fn at_mut(&mut self, i1: usize, i2: usize, k: usize) -> &mut f64 {
-        &mut self.data[(i1 * self.n2 + i2) * self.n + k]
-    }
-
     /// Evaluates unknown `k` at arbitrary `(t1, t2)` with biperiodic
     /// bilinear interpolation.
     pub fn eval(&self, t1: f64, t2: f64, k: usize) -> f64 {
@@ -153,7 +148,7 @@ mod tests {
     #[test]
     fn grid_accessors() {
         let mut w = BivariateWaveform::zeros(1.0, 0.1, 2, 3, 2);
-        *w.at_mut(1, 2, 1) = 7.0;
+        w.data[(3 + 2) * 2 + 1] = 7.0;
         assert_eq!(w.at(1, 2, 1), 7.0);
         assert_eq!(w.at(0, 0, 0), 0.0);
         assert_eq!(w.samples(), 6);

@@ -10,11 +10,13 @@
 //! handling circuits with nonlinearities on a fast time scale, e.g. power
 //! converters, switched-capacitor filters, switching mixers".
 
-use crate::{Error, Result};
+use crate::grid::newton_error;
+use crate::Result;
 use rfsim_circuit::dae::{Dae, TwoTime};
 use rfsim_circuit::dc::{dc_operating_point, DcOptions};
+use rfsim_circuit::newton::Newton;
 use rfsim_numerics::sparse::Triplets;
-use rfsim_numerics::{norm_inf, Complex};
+use rfsim_numerics::Complex;
 
 /// Options for [`envelope_follow`].
 #[derive(Debug, Clone)]
@@ -51,12 +53,6 @@ pub struct EnvelopeResult {
 }
 
 impl EnvelopeResult {
-    /// Fast samples of unknown `k` at slow index `i`.
-    pub fn line_waveform(&self, i: usize, k: usize) -> Vec<f64> {
-        let n2 = self.lines[i].len() / self.n;
-        (0..n2).map(|j| self.lines[i][j * self.n + k]).collect()
-    }
-
     /// Peak amplitude of fast harmonic `m` of unknown `k` at slow index
     /// `i` — the envelope waveform the method is named for.
     pub fn harmonic_envelope(&self, k: usize, m: i32) -> Vec<f64> {
@@ -86,67 +82,52 @@ impl EnvelopeResult {
     }
 }
 
-/// Solves one fast-axis periodic line problem by Newton:
-/// `(q − q_prev)/h₁·[slow] + D₂q + f = b(t₁, ·)` with periodic BC.
-#[allow(clippy::too_many_arguments)]
+/// Solves one fast-axis periodic line problem on the Newton kernel:
+/// `(q − q_prev)/h₁·[slow] + D₂q + f = b(t₁, ·)` with periodic BC. The
+/// line starts at `y` and is left there. Returns the corrections made
+/// and the line's `q` samples, from the kernel's last evaluation, which
+/// is at the line it leaves.
 fn solve_line(
     dae: &dyn Dae,
+    newton: &mut Newton,
     t1: f64,
     t2_period: f64,
-    n2: usize,
     q_prev: Option<(&[f64], f64)>, // (previous line's q samples, h1)
-    y0: &[f64],
+    y: &mut [f64],
     opts: &EnvelopeOptions,
-    iters: &mut usize,
-) -> Result<Vec<f64>> {
+) -> Result<(usize, Vec<f64>)> {
     let n = dae.dim();
+    let n2 = opts.n2;
     let h2 = t2_period / n2 as f64;
-    let mut y = y0.to_vec();
     // Excitation per fast sample.
     let mut b = vec![0.0; n2 * n];
-    {
-        let mut bs = vec![0.0; n];
-        for j in 0..n2 {
-            dae.eval_b(TwoTime::new(t1, j as f64 * h2), &mut bs);
-            b[j * n..(j + 1) * n].copy_from_slice(&bs);
-        }
+    for (j, bs) in b.chunks_exact_mut(n).enumerate() {
+        dae.eval_b(TwoTime::new(t1, j as f64 * h2), bs);
     }
-    let mut f = vec![0.0; n];
-    let mut q = vec![0.0; n];
-    let mut gt = Triplets::new(n, n);
-    let mut ct = Triplets::new(n, n);
-    let mut last = f64::INFINITY;
-    for _ in 0..opts.max_newton {
-        // Evaluate all samples.
-        let mut fall = vec![0.0; n2 * n];
-        let mut qall = vec![0.0; n2 * n];
-        let mut jac = Triplets::new(n2 * n, n2 * n);
+    let mut diag_c = 1.0 / h2;
+    if let Some((_, h1)) = q_prev {
+        diag_c += 1.0 / h1;
+    }
+    let (mut fall, mut qall) = (vec![0.0; n2 * n], vec![0.0; n2 * n]);
+    let (mut g, mut cs) = (Triplets::new(n, n), vec![Triplets::new(n, n); n2]);
+    let newton_opts = DcOptions { max_iters: opts.max_newton, ..opts.dc };
+    let solved = newton.solve(y, &newton_opts, |y, r, jac| {
         for j in 0..n2 {
-            dae.eval(&y[j * n..(j + 1) * n], &mut f, &mut q, &mut gt, &mut ct);
-            fall[j * n..(j + 1) * n].copy_from_slice(&f);
-            qall[j * n..(j + 1) * n].copy_from_slice(&q);
-            for &(r, c, v) in gt.entries() {
+            let at = j * n..(j + 1) * n;
+            dae.eval(&y[at.clone()], &mut fall[at.clone()], &mut qall[at], &mut g, &mut cs[j]);
+            for &(r, c, v) in g.entries() {
                 jac.push(j * n + r, j * n + c, v);
             }
-            let mut diag_c = 1.0 / h2;
-            if let Some((_, h1)) = q_prev {
-                diag_c += 1.0 / h1;
-            }
-            for &(r, c, v) in ct.entries() {
+            for &(r, c, v) in cs[j].entries() {
                 jac.push(j * n + r, j * n + c, v * diag_c);
             }
         }
-        // Off-diagonal fast-axis coupling (uses q at previous fast sample).
+        // Off-diagonal fast-axis coupling (q at the previous fast sample).
         for j in 0..n2 {
             let jp = (j + n2 - 1) % n2;
-            dae.eval(&y[jp * n..(jp + 1) * n], &mut f, &mut q, &mut gt, &mut ct);
-            for &(r, c, v) in ct.entries() {
+            for &(r, c, v) in cs[jp].entries() {
                 jac.push(j * n + r, jp * n + c, -v / h2);
             }
-        }
-        let mut r = vec![0.0; n2 * n];
-        for j in 0..n2 {
-            let jp = (j + n2 - 1) % n2;
             for k in 0..n {
                 let mut acc =
                     fall[j * n + k] - b[j * n + k] + (qall[j * n + k] - qall[jp * n + k]) / h2;
@@ -156,38 +137,19 @@ fn solve_line(
                 r[j * n + k] = acc;
             }
         }
-        let res = norm_inf(&r);
-        last = res;
-        if res < opts.tol {
-            return Ok(y);
+        opts.tol
+    });
+    let iterations = match solved {
+        Ok(iterations) => iterations,
+        // Accept a residual that is merely small rather than tiny.
+        Err(rfsim_circuit::Error::NewtonNoConvergence { iterations, residual })
+            if residual < 1e-5 =>
+        {
+            iterations
         }
-        *iters += 1;
-        let dx = jac.to_csr().solve(&r).map_err(Error::Numerics)?;
-        for (yi, di) in y.iter_mut().zip(&dx) {
-            *yi -= di;
-        }
-    }
-    if last < 1e-5 {
-        Ok(y)
-    } else {
-        Err(Error::NoConvergence { iterations: opts.max_newton, residual: last })
-    }
-}
-
-/// Evaluates `q` at every fast sample of a line.
-fn line_q(dae: &dyn Dae, line: &[f64]) -> Vec<f64> {
-    let n = dae.dim();
-    let n2 = line.len() / n;
-    let mut out = vec![0.0; line.len()];
-    let mut f = vec![0.0; n];
-    let mut q = vec![0.0; n];
-    let mut gt = Triplets::new(n, n);
-    let mut ct = Triplets::new(n, n);
-    for j in 0..n2 {
-        dae.eval(&line[j * n..(j + 1) * n], &mut f, &mut q, &mut gt, &mut ct);
-        out[j * n..(j + 1) * n].copy_from_slice(&q);
-    }
-    out
+        Err(e) => return Err(newton_error(e)),
+    };
+    Ok((iterations, qall))
 }
 
 /// Follows the envelope from `t₁ = 0` to `t1_end` in `n1_steps` slow
@@ -207,22 +169,24 @@ pub fn envelope_follow(
     let n = dae.dim();
     let n2 = opts.n2;
     let op = dc_operating_point(dae, &opts.dc)?;
-    let mut y0 = vec![0.0; n2 * n];
+    let mut line = vec![0.0; n2 * n];
     for j in 0..n2 {
-        y0[j * n..(j + 1) * n].copy_from_slice(&op.x);
+        line[j * n..(j + 1) * n].copy_from_slice(&op.x);
     }
-    let mut iters = 0usize;
+    // One kernel for every line.
+    let mut newton = Newton::default();
     // Initial fast-periodic line at t1 = 0 (no slow term).
-    let line0 = solve_line(dae, 0.0, t2_period, n2, None, &y0, opts, &mut iters)?;
+    let (mut iters, mut q) = solve_line(dae, &mut newton, 0.0, t2_period, None, &mut line, opts)?;
     let h1 = t1_end / n1_steps as f64;
-    let mut lines = vec![line0];
+    let mut lines = vec![line.clone()];
     let mut t1_times = vec![0.0];
     for s in 1..=n1_steps {
         let t1 = s as f64 * h1;
-        let prev = lines.last().expect("nonempty");
-        let qp = line_q(dae, prev);
-        let next = solve_line(dae, t1, t2_period, n2, Some((&qp, h1)), prev, opts, &mut iters)?;
-        lines.push(next);
+        let (it, q_next) =
+            solve_line(dae, &mut newton, t1, t2_period, Some((&q, h1)), &mut line, opts)?;
+        iters += it;
+        q = q_next;
+        lines.push(line.clone());
         t1_times.push(t1);
     }
     Ok(EnvelopeResult { t1_times, lines, t2_period, n, newton_iterations: iters })

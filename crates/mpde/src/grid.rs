@@ -11,9 +11,10 @@ use crate::bivariate::BivariateWaveform;
 use crate::{Error, Result};
 use rfsim_circuit::dae::{Dae, TwoTime};
 use rfsim_circuit::dc::{dc_operating_point, DcOptions};
+use rfsim_circuit::newton::Newton;
 use rfsim_numerics::dense::Mat;
-use rfsim_numerics::sparse::{Csr, Triplets};
-use rfsim_numerics::{norm2, norm_inf, Complex};
+use rfsim_numerics::sparse::Triplets;
+use rfsim_numerics::Complex;
 
 /// Slow-axis differentiation operator.
 pub(crate) enum SlowOp {
@@ -41,10 +42,10 @@ pub(crate) fn spectral_diff_matrix(n: usize, period: f64) -> Mat<f64> {
     })
 }
 
-/// Per-grid-point cached linearization.
+/// One grid point's `G = ∂f/∂x` and `C = ∂q/∂x` stamps.
 struct PointLin {
-    g: Csr<f64>,
-    c: Csr<f64>,
+    g: Triplets<f64>,
+    c: Triplets<f64>,
 }
 
 pub(crate) struct GridProblem<'a> {
@@ -63,28 +64,33 @@ pub struct GridStats {
     pub newton_iterations: usize,
     /// Total grid unknowns.
     pub unknowns: usize,
-    /// Nonzeros in the assembled Jacobian (last iteration).
-    pub jacobian_nnz: usize,
+}
+
+/// The MPDE engines' error for a failed Newton kernel solve.
+pub(crate) fn newton_error(e: rfsim_circuit::Error) -> Error {
+    match e {
+        rfsim_circuit::Error::NewtonNoConvergence { iterations, residual } => {
+            Error::NoConvergence { iterations, residual }
+        }
+        e => e.into(),
+    }
 }
 
 impl GridProblem<'_> {
-    fn eval_all(&self, x: &[f64]) -> (Vec<f64>, Vec<f64>, Vec<PointLin>) {
+    /// Evaluates `f` and `q` at every grid point of `x` into `fall` and
+    /// `qall`, and each point's stamps into `lins`.
+    fn eval_all(&self, x: &[f64], fall: &mut [f64], qall: &mut [f64], lins: &mut [PointLin]) {
         let n = self.dae.dim();
-        let total = self.n1 * self.n2;
-        let mut fall = vec![0.0; total * n];
-        let mut qall = vec![0.0; total * n];
-        let mut lins = Vec::with_capacity(total);
-        let mut f = vec![0.0; n];
-        let mut q = vec![0.0; n];
-        let mut gt = Triplets::new(n, n);
-        let mut ct = Triplets::new(n, n);
-        for s in 0..total {
-            self.dae.eval(&x[s * n..(s + 1) * n], &mut f, &mut q, &mut gt, &mut ct);
-            fall[s * n..(s + 1) * n].copy_from_slice(&f);
-            qall[s * n..(s + 1) * n].copy_from_slice(&q);
-            lins.push(PointLin { g: gt.to_csr(), c: ct.to_csr() });
+        for (s, lin) in lins.iter_mut().enumerate() {
+            let at = s * n..(s + 1) * n;
+            self.dae.eval(
+                &x[at.clone()],
+                &mut fall[at.clone()],
+                &mut qall[at],
+                &mut lin.g,
+                &mut lin.c,
+            );
         }
-        (fall, qall, lins)
     }
 
     fn time(&self, i1: usize, i2: usize) -> TwoTime {
@@ -94,12 +100,11 @@ impl GridProblem<'_> {
         )
     }
 
-    fn residual(&self, fall: &[f64], qall: &[f64], b: &[f64]) -> Vec<f64> {
+    fn residual(&self, fall: &[f64], qall: &[f64], b: &[f64], r: &mut [f64]) {
         let n = self.dae.dim();
         let (n1, n2) = (self.n1, self.n2);
         let h1 = self.t1_period / n1 as f64;
         let h2 = self.t2_period / n2 as f64;
-        let mut r = vec![0.0; fall.len()];
         for i1 in 0..n1 {
             for i2 in 0..n2 {
                 let s = i1 * n2 + i2;
@@ -125,37 +130,34 @@ impl GridProblem<'_> {
                 }
             }
         }
-        r
     }
 
-    fn jacobian(&self, lins: &[PointLin]) -> Csr<f64> {
+    fn jacobian(&self, lins: &[PointLin], t: &mut Triplets<f64>) {
         let n = self.dae.dim();
         let (n1, n2) = (self.n1, self.n2);
-        let total = n1 * n2;
         let h1 = self.t1_period / n1 as f64;
         let h2 = self.t2_period / n2 as f64;
-        let mut t = Triplets::new(total * n, total * n);
         for i1 in 0..n1 {
             for i2 in 0..n2 {
                 let s = i1 * n2 + i2;
                 // f and fast-axis diagonal parts.
-                for (r, c, v) in lins[s].g.iter() {
+                for &(r, c, v) in lins[s].g.entries() {
                     t.push(s * n + r, s * n + c, v);
                 }
-                for (r, c, v) in lins[s].c.iter() {
+                for &(r, c, v) in lins[s].c.entries() {
                     t.push(s * n + r, s * n + c, v / h2);
                 }
                 let sp2 = i1 * n2 + (i2 + n2 - 1) % n2;
-                for (r, c, v) in lins[sp2].c.iter() {
+                for &(r, c, v) in lins[sp2].c.entries() {
                     t.push(s * n + r, sp2 * n + c, -v / h2);
                 }
                 match &self.slow {
                     SlowOp::BackwardDiff => {
-                        for (r, c, v) in lins[s].c.iter() {
+                        for &(r, c, v) in lins[s].c.entries() {
                             t.push(s * n + r, s * n + c, v / h1);
                         }
                         let sp1 = ((i1 + n1 - 1) % n1) * n2 + i2;
-                        for (r, c, v) in lins[sp1].c.iter() {
+                        for &(r, c, v) in lins[sp1].c.entries() {
                             t.push(s * n + r, sp1 * n + c, -v / h1);
                         }
                     }
@@ -166,7 +168,7 @@ impl GridProblem<'_> {
                             if coeff == 0.0 {
                                 continue;
                             }
-                            for (r, c, v) in lins[sp].c.iter() {
+                            for &(r, c, v) in lins[sp].c.entries() {
                                 t.push(s * n + r, sp * n + c, coeff * v);
                             }
                         }
@@ -174,10 +176,10 @@ impl GridProblem<'_> {
                 }
             }
         }
-        t.to_csr()
     }
 
-    /// Runs the global Newton iteration; returns the bivariate waveform.
+    /// Runs the global Newton iteration on the shared kernel; returns the
+    /// bivariate waveform.
     pub(crate) fn solve(
         &self,
         tol: f64,
@@ -203,42 +205,28 @@ impl GridProblem<'_> {
                 }
             }
         }
-        let mut stats = GridStats { unknowns: total * n, ..Default::default() };
-        let mut last_res = f64::INFINITY;
-        for _it in 0..max_newton {
-            let (fall, qall, lins) = self.eval_all(&x);
-            let r = self.residual(&fall, &qall, &b);
-            let res = norm_inf(&r);
-            last_res = res;
-            if res < tol {
-                let w = BivariateWaveform {
-                    t1_period: self.t1_period,
-                    t2_period: self.t2_period,
-                    n1: self.n1,
-                    n2: self.n2,
-                    n,
-                    data: x,
-                };
-                return Ok((w, stats));
-            }
-            stats.newton_iterations += 1;
-            let jac = self.jacobian(&lins);
-            stats.jacobian_nnz = jac.nnz();
-            let dx = jac.solve(&r).map_err(Error::Numerics)?;
-            // Damped update.
-            let mut alpha = 1.0;
-            for _ in 0..8 {
-                let xt: Vec<f64> = x.iter().zip(&dx).map(|(xi, di)| xi - alpha * di).collect();
-                let (ft, qt, _) = self.eval_all(&xt);
-                let rt = self.residual(&ft, &qt, &b);
-                if norm2(&rt).is_finite() && (norm2(&rt) <= norm2(&r) || alpha < 0.05) {
-                    x = xt;
-                    break;
-                }
-                alpha *= 0.5;
-            }
-        }
-        Err(Error::NoConvergence { iterations: max_newton, residual: last_res })
+        let (mut fall, mut qall) = (vec![0.0; total * n], vec![0.0; total * n]);
+        let mut lins: Vec<PointLin> = (0..total)
+            .map(|_| PointLin { g: Triplets::new(n, n), c: Triplets::new(n, n) })
+            .collect();
+        let newton_opts = DcOptions { max_iters: max_newton, ..*dc };
+        let iterations = Newton::default()
+            .solve(&mut x, &newton_opts, |x, r, jac| {
+                self.eval_all(x, &mut fall, &mut qall, &mut lins);
+                self.residual(&fall, &qall, &b, r);
+                self.jacobian(&lins, jac);
+                tol
+            })
+            .map_err(newton_error)?;
+        let w = BivariateWaveform {
+            t1_period: self.t1_period,
+            t2_period: self.t2_period,
+            n1: self.n1,
+            n2: self.n2,
+            n,
+            data: x,
+        };
+        Ok((w, GridStats { newton_iterations: iterations, unknowns: total * n }))
     }
 }
 

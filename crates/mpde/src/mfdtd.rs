@@ -89,7 +89,6 @@ pub fn solve_mfdtd(
             stats = GridStats {
                 newton_iterations: stats.newton_iterations + s2.newton_iterations,
                 unknowns: s2.unknowns,
-                jacobian_nnz: s2.jacobian_nnz,
             };
             let done = diff < opts.refine_tol;
             wave = w2;

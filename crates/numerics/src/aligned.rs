@@ -122,12 +122,6 @@ impl<T: Copy> AlignedVec<T> {
         self.len = new_len;
     }
 
-    /// Copies `src` into the buffer, replacing current contents.
-    pub fn copy_from(&mut self, src: &[T]) {
-        self.clear();
-        self.extend_from_slice(src);
-    }
-
     /// Appends every element of `src`.
     pub fn extend_from_slice(&mut self, src: &[T]) {
         self.reserve_total(self.len + src.len());

@@ -73,15 +73,6 @@ impl<T: Scalar> Mat<T> {
         m
     }
 
-    /// Builds a diagonal matrix from the given diagonal entries.
-    pub fn from_diag(d: &[T]) -> Self {
-        let mut m = Mat::zeros(d.len(), d.len());
-        for (i, &v) in d.iter().enumerate() {
-            m[(i, i)] = v;
-        }
-        m
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -331,23 +322,6 @@ impl<T: Scalar> Mat<T> {
             Ok(lu) => lu.det(),
             Err(_) => T::ZERO,
         }
-    }
-
-    /// 1-norm condition number estimate `‖A‖₁ · ‖A⁻¹‖₁` (exact inverse,
-    /// intended for the modest matrix sizes in Table 1 style studies).
-    ///
-    /// # Errors
-    /// Returns [`Error::Singular`] for singular matrices.
-    pub fn cond1(&self) -> Result<f64> {
-        let inv = self.inverse()?;
-        Ok(self.norm1() * inv.norm1())
-    }
-
-    /// 1-norm (maximum absolute column sum).
-    pub fn norm1(&self) -> f64 {
-        (0..self.cols)
-            .map(|j| (0..self.rows).map(|i| self[(i, j)].modulus()).sum::<f64>())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -601,30 +575,6 @@ impl<T: Scalar> Qr<T> {
         }
         Ok(Qr { q, r })
     }
-
-    /// Least-squares solve `min ‖A·x − b‖₂` via `R·x = Qᴴ·b`.
-    ///
-    /// # Errors
-    /// Returns [`Error::DimensionMismatch`] if `b` has the wrong length.
-    pub fn solve_ls(&self, b: &[T]) -> Result<Vec<T>> {
-        let m = self.q.rows();
-        if b.len() != m {
-            return Err(Error::DimensionMismatch { expected: m, found: b.len() });
-        }
-        let n = self.r.rows();
-        let qh = self.q.adjoint();
-        let rhs = qh.matvec(b);
-        // Back substitution on R.
-        let mut x = rhs;
-        for i in (0..n).rev() {
-            let mut acc = x[i];
-            for j in i + 1..n {
-                acc -= self.r[(i, j)] * x[j];
-            }
-            x[i] = acc / self.r[(i, i)];
-        }
-        Ok(x)
-    }
 }
 
 #[cfg(test)]
@@ -702,23 +652,13 @@ mod tests {
     }
 
     #[test]
-    fn qr_orthogonality_and_ls() {
+    fn qr_orthogonality() {
         let a = Mat::from_rows(&[&[1.0, 0.0], &[1.0, 1.0], &[1.0, 2.0]]);
         let qr = Qr::new(&a).unwrap();
         let qtq = qr.q.adjoint().matmul(&qr.q);
         let id: Mat<f64> = Mat::identity(2);
         assert!((&qtq - &id).norm_fro() < 1e-12);
-        // Least squares fit of y = 1 + 2x through exact data.
-        let b = [1.0, 3.0, 5.0];
-        let x = qr.solve_ls(&b).unwrap();
-        assert!((x[0] - 1.0).abs() < 1e-12);
-        assert!((x[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn cond_of_identity_is_one() {
-        let id: Mat<f64> = Mat::identity(5);
-        assert!((id.cond1().unwrap() - 1.0).abs() < 1e-14);
+        assert!((&qr.q.matmul(&qr.r) - &a).norm_fro() < 1e-12);
     }
 
     #[test]

@@ -28,7 +28,7 @@ use std::sync::Arc;
 /// assert_eq!(a.get(0, 0), 3.0);
 /// assert_eq!(a.nnz(), 2);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Triplets<T = f64> {
     rows: usize,
     cols: usize,
@@ -219,6 +219,53 @@ impl<T: Scalar> Csr<T> {
         self.vals.len()
     }
 
+    /// The slot of position `(i, j)` in the stored values, if the
+    /// pattern holds it.
+    #[inline]
+    fn slot(&self, i: usize, j: usize) -> Option<usize> {
+        let lo = self.row_ptr[i];
+        self.col_idx[lo..self.row_ptr[i + 1]].binary_search(&j).ok().map(|k| lo + k)
+    }
+
+    /// Sums the stamps `t` into `vals`, zeroed first, each at the slot of
+    /// its own `(i, j)`, duplicates in push order (the sums of
+    /// [`Triplets::to_pattern`]). Stamps of the same positions pushed in
+    /// another order (a MOSFET whose drain and source swap roles) land
+    /// every value where it belongs. Returns `false` when some position
+    /// has no slot.
+    #[inline]
+    pub fn scatter(&self, t: &Triplets<T>, vals: &mut [T]) -> bool {
+        vals.fill(T::ZERO);
+        t.entries.iter().all(|&(i, j, v)| self.slot(i, j).map(|slot| vals[slot] += v).is_some())
+    }
+
+    /// [`Csr::scatter`] into this matrix's own values.
+    pub fn restamp(&mut self, t: &Triplets<T>) -> bool {
+        let mut vals = std::mem::take(&mut self.vals);
+        let fits = self.scatter(t, &mut vals);
+        self.vals = vals;
+        fits
+    }
+
+    /// This matrix with every position of `t` added to its pattern, an
+    /// explicit zero where it stored nothing.
+    ///
+    /// # Panics
+    /// Panics if the shapes differ.
+    pub fn grown(&self, t: &Triplets<T>) -> Csr<T> {
+        assert_eq!((self.rows, self.cols), (t.rows, t.cols), "grown: shape mismatch");
+        let mut u = Triplets::new(self.rows, self.cols);
+        u.entries.extend(self.iter());
+        u.entries.extend(t.entries.iter().map(|&(i, j, _)| (i, j, T::ZERO)));
+        u.to_pattern()
+    }
+
+    /// Heap bytes held, by capacity.
+    pub fn bytes(&self) -> usize {
+        (self.row_ptr.capacity() + self.col_idx.capacity()) * std::mem::size_of::<usize>()
+            + self.vals.capacity() * std::mem::size_of::<T>()
+    }
+
     /// Fill density `nnz / (rows·cols)`, the quantity contrasted in the
     /// paper's Table 1 between differential (sparse) and integral (dense)
     /// formulations.
@@ -271,13 +318,21 @@ impl<T: Scalar> Csr<T> {
     pub fn matvec_into(&self, x: &[T], y: &mut [T]) {
         assert_eq!(x.len(), self.cols, "matvec: length mismatch");
         assert_eq!(y.len(), self.rows, "matvec_into: output length mismatch");
+        self.matvec_with(&self.vals, x, y);
+    }
+
+    /// `y ← A·x` for the matrix with the values `vals` on this one's
+    /// pattern: one [`Triplets::to_pattern`] pattern serves many value
+    /// sets (see [`Csr::scatter`]).
+    #[inline]
+    pub fn matvec_with(&self, vals: &[T], x: &[T], y: &mut [T]) {
         // Iterator form lets the row slices elide the per-element bounds
         // checks on `vals`/`col_idx`; the accumulation order (ascending k)
         // is unchanged, so results stay bitwise identical.
         for (yi, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
             let (lo, hi) = (w[0], w[1]);
             let mut acc = T::ZERO;
-            for (v, &c) in self.vals[lo..hi].iter().zip(&self.col_idx[lo..hi]) {
+            for (v, &c) in vals[lo..hi].iter().zip(&self.col_idx[lo..hi]) {
                 acc += *v * x[c];
             }
             *yi = acc;

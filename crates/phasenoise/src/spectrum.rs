@@ -16,7 +16,6 @@
 //! - "the separate contributions of noise sources … can be obtained
 //!   easily": [`PhaseNoiseAnalysis::per_source`].
 
-use crate::oscillator::vector_field;
 use crate::ppv::Ppv;
 use crate::pss::PssResult;
 use crate::Result;
@@ -162,20 +161,6 @@ pub fn analyze(
     let ppv = crate::ppv::compute_ppv(dae, &pss)?;
     let pn = PhaseNoiseAnalysis::new(dae, &pss, &ppv, observe)?;
     Ok((pss, ppv, pn))
-}
-
-/// Sanity helper used by tests and benches: `v₁ᵀẋ` averaged over the
-/// orbit (should be 1).
-pub fn mean_ppv_projection(dae: &dyn Dae, pss: &PssResult, ppv: &Ppv) -> f64 {
-    let n = dae.dim();
-    let mut g = vec![0.0; n];
-    let m = ppv.vecs.len();
-    let mut acc = 0.0;
-    for (v, x) in ppv.vecs.iter().zip(&pss.states) {
-        vector_field(dae, x, &mut g);
-        acc += v.iter().zip(&g).map(|(a, b)| a * b).sum::<f64>();
-    }
-    acc / m as f64
 }
 
 #[cfg(test)]

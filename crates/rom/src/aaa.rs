@@ -63,8 +63,6 @@ pub struct AaaFit {
     support: Vec<f64>,
     values: Vec<f64>,
     weights: Vec<f64>,
-    /// `max|f|` over the fitting samples (the residual normalizer).
-    scale: f64,
     /// Worst relative residual over the non-support samples at the end
     /// of the fit.
     max_rel_residual: f64,
@@ -101,7 +99,6 @@ impl AaaFit {
             support: Vec::new(),
             values: Vec::new(),
             weights: Vec::new(),
-            scale,
             max_rel_residual: 0.0,
         };
         if scale == 0.0 {
@@ -228,13 +225,6 @@ impl AaaFit {
     /// Worst relative residual over the non-support fitting samples.
     pub fn max_rel_residual(&self) -> f64 {
         self.max_rel_residual
-    }
-
-    /// Magnitude normalization of the fitted data (`max |fᵢ|`);
-    /// multiply by [`AaaFit::max_rel_residual`] for the absolute
-    /// worst-case misfit.
-    pub fn value_scale(&self) -> f64 {
-        self.scale
     }
 
     /// Poles of the fitted rational: roots of the barycentric

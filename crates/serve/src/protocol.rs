@@ -9,7 +9,6 @@
 
 use rfsim_em::inductor::SpiralInductor;
 use rfsim_telemetry::Json;
-use std::collections::BTreeMap;
 
 /// Ceiling on `sleep` requests so a hostile client cannot park a
 /// worker forever.
@@ -279,12 +278,6 @@ pub fn parse_request(v: &Json) -> Result<Envelope, String> {
         other => return Err(format!("unknown op {other:?}")),
     };
     Ok(Envelope { id, req })
-}
-
-/// Builds a JSON object from owned keys (the `Json::obj` helper wants
-/// `'static` keys, counter maps do not have them).
-pub fn dyn_obj(pairs: impl IntoIterator<Item = (String, Json)>) -> Json {
-    Json::Obj(pairs.into_iter().collect::<BTreeMap<_, _>>())
 }
 
 #[cfg(test)]

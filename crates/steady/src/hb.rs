@@ -161,104 +161,16 @@ impl HbSolution {
     }
 }
 
-/// The positions of `G` and `C` together, in CSR order: one pattern that
-/// every sample's values share. Slot `p` of a sample's `G` values and
-/// slot `p` of its `C` values sit at the same `(i, j)`; a position that
-/// only one of the two stamps has holds an explicit zero in the other.
-#[derive(Debug)]
-struct StampPattern {
-    row_ptr: Vec<usize>,
-    col_idx: Vec<usize>,
-}
-
-impl StampPattern {
-    /// The pattern of no position, for `n` unknowns.
-    fn empty(n: usize) -> Self {
-        StampPattern { row_ptr: vec![0; n + 1], col_idx: Vec::new() }
-    }
-
-    /// The pattern of every position stamped in `t`.
-    fn of(t: &Triplets) -> Self {
-        let csr = t.to_pattern();
-        let mut row_ptr = Vec::with_capacity(csr.rows() + 1);
-        let mut col_idx = Vec::with_capacity(csr.nnz());
-        row_ptr.push(0);
-        for i in 0..csr.rows() {
-            col_idx.extend_from_slice(csr.row(i).0);
-            row_ptr.push(col_idx.len());
-        }
-        StampPattern { row_ptr, col_idx }
-    }
-
-    fn dim(&self) -> usize {
-        self.row_ptr.len() - 1
-    }
-
-    fn nnz(&self) -> usize {
-        self.col_idx.len()
-    }
-
-    /// The slot of position `(i, j)`, if the pattern holds it.
-    fn slot(&self, i: usize, j: usize) -> Option<usize> {
-        let lo = self.row_ptr[i];
-        self.col_idx[lo..self.row_ptr[i + 1]].binary_search(&j).ok().map(|k| lo + k)
-    }
-
-    /// `(i, j)` of every slot, in slot order.
-    fn positions(&self) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.row_ptr
-            .windows(2)
-            .enumerate()
-            .flat_map(move |(i, w)| self.col_idx[w[0]..w[1]].iter().map(move |&j| (i, j)))
-    }
-
-    /// Sums the stamps `t` into `vals`, zeroed first, each at the slot of
-    /// its own `(i, j)`, duplicates in push order: a sample that stamps the
-    /// same positions in another order (a MOSFET whose drain and source
-    /// swap roles) lands every value where it belongs. Returns `false`
-    /// when some position has no slot.
-    fn scatter(&self, t: &Triplets, vals: &mut [f64]) -> bool {
-        vals.fill(0.0);
-        t.entries().iter().all(|&(i, j, v)| self.slot(i, j).map(|slot| vals[slot] += v).is_some())
-    }
-
-    /// The union of this pattern and every position of `g` and `c`.
-    fn grown(&self, g: &Triplets, c: &Triplets) -> Self {
-        let mut t = Triplets::new(g.rows(), g.cols());
-        for (i, j) in self.positions() {
-            t.push(i, j, 0.0);
-        }
-        for &(i, j, _) in g.entries().iter().chain(c.entries()) {
-            t.push(i, j, 0.0);
-        }
-        StampPattern::of(&t)
-    }
-
-    /// `y ← A·x` for the matrix with values `vals` on this pattern.
-    fn matvec(&self, vals: &[f64], x: &[f64], y: &mut [f64]) {
-        for (yi, w) in y.iter_mut().zip(self.row_ptr.windows(2)) {
-            let mut acc = 0.0;
-            for (v, &c) in vals[w[0]..w[1]].iter().zip(&self.col_idx[w[0]..w[1]]) {
-                acc += v * x[c];
-            }
-            *yi = acc;
-        }
-    }
-
-    /// Heap bytes held, by capacity.
-    fn bytes(&self) -> usize {
-        (self.row_ptr.capacity() + self.col_idx.capacity()) * std::mem::size_of::<usize>()
-    }
-}
-
-/// A position `(i, j)` and its slot in a [`StampPattern`].
+/// A position `(i, j)` and its slot in a stamp pattern.
 type Stamp = (usize, usize, usize);
 
 /// Every sample's `G = ∂f/∂x` and `C = ∂q/∂x` at one Newton point, on
-/// one shared [`StampPattern`]: sample `s` holds `g[s·nnz..(s + 1)·nnz]`
-/// and likewise `c`.
+/// one shared stamp pattern: the positions of `G` and `C` together, a
+/// [`Triplets::to_pattern`] matrix whose own values go unused. Sample
+/// `s` holds `g[s·nnz..(s + 1)·nnz]` and likewise `c`; a position that
+/// only one of the two stamps holds an explicit zero in the other.
 struct Linearization {
-    pattern: Arc<StampPattern>,
+    pattern: Arc<Csr<f64>>,
     samples: usize,
     g: Vec<f64>,
     c: Vec<f64>,
@@ -266,7 +178,7 @@ struct Linearization {
 
 impl Default for Linearization {
     fn default() -> Self {
-        let pattern = Arc::new(StampPattern::empty(0));
+        let pattern = Arc::new(Triplets::new(0, 0).to_pattern());
         Linearization { pattern, samples: 0, g: Vec::new(), c: Vec::new() }
     }
 }
@@ -274,7 +186,7 @@ impl Default for Linearization {
 impl Linearization {
     /// Sizes the values for `samples` samples on `pattern`, reusing the
     /// buffers; every sample is restamped after.
-    fn reset(&mut self, pattern: &Arc<StampPattern>, samples: usize) {
+    fn reset(&mut self, pattern: &Arc<Csr<f64>>, samples: usize) {
         if !Arc::ptr_eq(&self.pattern, pattern) {
             self.pattern = Arc::clone(pattern);
         }
@@ -350,7 +262,7 @@ fn assemble(
         if pattern.scatter(&gt, gv) && pattern.scatter(&ct, cv) {
             s += 1;
         } else {
-            *pattern = Arc::new(pattern.grown(&gt, &ct));
+            *pattern = Arc::new(pattern.grown(&gt).grown(&ct));
             lin.reset(pattern, total);
             s = 0;
         }
@@ -422,7 +334,7 @@ impl Deviation {
 /// Collects into `at` the positions where some sample of `vals` differs
 /// from `mean`, and into `dev` every sample's deviation there.
 fn deviations(
-    pattern: &StampPattern,
+    pattern: &Csr<f64>,
     samples: usize,
     vals: &[f64],
     mean: &[f64],
@@ -433,10 +345,10 @@ fn deviations(
     at.clear();
     at.extend(
         pattern
-            .positions()
+            .iter()
             .enumerate()
             .filter(|&(p, _)| (0..samples).any(|s| vals[s * nnz + p] != mean[p]))
-            .map(|(p, (i, j))| (i, j, p)),
+            .map(|(p, (i, j, _))| (i, j, p)),
     );
     dev.clear();
     dev.extend(
@@ -468,7 +380,7 @@ fn sample_products(at: &[Stamp], vals: &[f64], n: usize, v: &[f64], w: &mut [f64
 /// the residual's transform shares.
 #[derive(Debug)]
 struct HbWorkspace {
-    pattern: Arc<StampPattern>,
+    pattern: Arc<Csr<f64>>,
     delta: Deviation,
     /// `C·v` (or `ΔC·v`) samples; 32-byte aligned, like `dv`, so the SIMD
     /// kernels see aligned rows.
@@ -487,7 +399,7 @@ impl HbWorkspace {
         cv.resize(grid.samples() * n, 0.0);
         let dv = cv.clone();
         HbWorkspace {
-            pattern: Arc::new(StampPattern::empty(n)),
+            pattern: Arc::new(Triplets::new(n, n).to_pattern()),
             delta: Deviation::default(),
             cv,
             dv,
@@ -518,12 +430,12 @@ fn apply_jacobian(
     ws: &mut HbWorkspace,
 ) {
     let _span = telemetry::span("hb.matvec");
-    let n = lin.pattern.dim();
+    let n = lin.pattern.rows();
     for s in 0..lin.samples {
         let (g, c) = lin.sample(s);
         let at = s * n..(s + 1) * n;
-        lin.pattern.matvec(c, &v[at.clone()], &mut ws.cv[at.clone()]);
-        lin.pattern.matvec(g, &v[at.clone()], &mut y[at]);
+        lin.pattern.matvec_with(c, &v[at.clone()], &mut ws.cv[at.clone()]);
+        lin.pattern.matvec_with(g, &v[at.clone()], &mut y[at]);
     }
     let _span_fft = telemetry::span("hb.matvec.fft");
     grid.add_dt_with(&ws.cv, y, n, &mut ws.grid_ws);
@@ -570,7 +482,7 @@ struct HarmonicBlockPrecond {
     factor_bytes: usize,
     /// The pattern the blocks were built on, and `Ḡ`, `C̄` in its slot
     /// order: `Δ` is taken against these.
-    pattern: Arc<StampPattern>,
+    pattern: Arc<Csr<f64>>,
     gbar: Vec<f64>,
     cbar: Vec<f64>,
     /// Reusable apply buffers. The solve takes `&self`, so interior
@@ -593,11 +505,11 @@ impl HarmonicBlockPrecond {
         // Average G and C over the samples (the DC Fourier component of the
         // time-varying linearization).
         let pattern = Arc::clone(&lin.pattern);
-        let (n, nnz) = (pattern.dim(), pattern.nnz());
+        let (n, nnz) = (pattern.rows(), pattern.nnz());
         let gbar = position_means(&lin.g, lin.samples, nnz);
         let cbar = position_means(&lin.c, lin.samples, nnz);
         let mut t = Triplets::new(n, n);
-        for (i, j) in pattern.positions() {
+        for (i, j, _) in pattern.iter() {
             t.push(i, j, Complex::ZERO);
         }
         // Positions are unique and in CSR order, so the block's value
@@ -1527,9 +1439,9 @@ mod tests {
         };
         let g = stamps(&[(0, 0, 1.0), (0, 1, 2.0), (1, 1, 3.0)]);
         let c = stamps(&[(1, 1, 0.5)]);
-        let empty = StampPattern::empty(2);
+        let empty = Triplets::new(2, 2).to_pattern();
         assert!(!empty.scatter(&g, &mut []), "the empty pattern holds nothing");
-        let pattern = empty.grown(&g, &c);
+        let pattern = empty.grown(&g).grown(&c);
         let (mut gv, mut cv) = (vec![0.0; 3], vec![0.0; 3]);
         assert!(pattern.scatter(&g, &mut gv) && pattern.scatter(&c, &mut cv));
         assert_eq!(
@@ -1543,7 +1455,7 @@ mod tests {
 
         let grown = stamps(&[(1, 0, 7.0), (0, 0, 1.0)]);
         assert!(!pattern.scatter(&grown, &mut gv));
-        let pattern = pattern.grown(&grown, &c);
+        let pattern = pattern.grown(&grown);
         let mut gv = vec![0.0; 4];
         assert!(pattern.scatter(&g, &mut gv));
         assert_eq!(gv, [1.0, 2.0, 0.0, 3.0]);

@@ -9,6 +9,7 @@
 use crate::{Error, Result};
 use rfsim_circuit::dae::{Dae, TwoTime};
 use rfsim_circuit::dc::{dc_operating_point, DcOptions};
+use rfsim_circuit::newton::Newton;
 use rfsim_numerics::dense::Mat;
 use rfsim_numerics::sparse::Triplets;
 use rfsim_numerics::{norm_inf, Complex, ResidualTail};
@@ -87,106 +88,118 @@ impl ShootingResult {
     }
 }
 
-/// One implicit step with sensitivity propagation. Returns the new state
-/// and updates `m` (the accumulated monodromy) in place.
-#[allow(clippy::too_many_arguments)]
-fn step_with_sensitivity(
-    dae: &dyn Dae,
-    x_prev: &[f64],
-    m: &mut Mat<f64>,
-    t_new: f64,
-    h: f64,
-    trapezoidal: bool,
-    inner: &DcOptions,
-    solves: &mut usize,
-) -> Result<Vec<f64>> {
-    let n = dae.dim();
-    let mut f = vec![0.0; n];
-    let mut q = vec![0.0; n];
-    let mut gt = Triplets::new(n, n);
-    let mut ct = Triplets::new(n, n);
-    // Previous-state quantities.
-    dae.eval(x_prev, &mut f, &mut q, &mut gt, &mut ct);
-    let q_prev = q.clone();
-    let f_prev = f.clone();
-    let g_prev = gt.to_csr();
-    let c_prev = ct.to_csr();
-    let mut b_prev = vec![0.0; n];
-    dae.eval_b(TwoTime::uni(t_new - h), &mut b_prev);
+/// `f`, `q`, `G = ∂f/∂x` and `C = ∂q/∂x` at one state.
+struct Point {
+    f: Vec<f64>,
+    q: Vec<f64>,
+    g: Triplets<f64>,
+    c: Triplets<f64>,
+}
 
-    let mut b = vec![0.0; n];
-    dae.eval_b(TwoTime::uni(t_new), &mut b);
+impl Point {
+    fn new(n: usize) -> Self {
+        Point { f: vec![0.0; n], q: vec![0.0; n], g: Triplets::new(n, n), c: Triplets::new(n, n) }
+    }
 
-    // Inner Newton for the implicit step.
-    let a0 = if trapezoidal { 2.0 / h } else { 1.0 / h };
-    let mut x = x_prev.to_vec();
-    let mut converged = false;
-    let mut jac = None;
-    for _ in 0..inner.max_iters {
-        dae.eval(&x, &mut f, &mut q, &mut gt, &mut ct);
-        let r: Vec<f64> = (0..n)
-            .map(|i| {
-                if trapezoidal {
-                    // 2(q − q_prev)/h − q̇_prev + f − b, with q̇_prev from
-                    // the DAE: q̇_prev = b_prev − f_prev.
-                    a0 * (q[i] - q_prev[i]) - (b_prev[i] - f_prev[i]) + f[i] - b[i]
-                } else {
-                    a0 * (q[i] - q_prev[i]) + f[i] - b[i]
-                }
-            })
-            .collect();
-        if norm_inf(&r) < inner.abstol.max(1e-13) {
-            converged = true;
-            // Refresh Jacobian at solution for the sensitivity update.
-            let j = ct.to_csr().add_scaled(a0, &gt.to_csr(), 1.0);
-            jac = Some(j);
-            break;
-        }
-        let j = ct.to_csr().add_scaled(a0, &gt.to_csr(), 1.0);
-        let dx = j.solve(&r).map_err(Error::Numerics)?;
-        *solves += 1;
-        for i in 0..n {
-            x[i] -= dx[i];
-        }
-        jac = Some(j);
+    fn eval(&mut self, dae: &dyn Dae, x: &[f64]) {
+        dae.eval(x, &mut self.f, &mut self.q, &mut self.g, &mut self.c);
     }
-    if !converged {
-        // Accept if residual is merely small rather than tiny.
-        dae.eval(&x, &mut f, &mut q, &mut gt, &mut ct);
-        let r: Vec<f64> = (0..n).map(|i| a0 * (q[i] - q_prev[i]) + f[i] - b[i]).collect();
-        if !norm_inf(&r).is_finite() || norm_inf(&r) > 1e-4 {
-            return Err(Error::NoConvergence {
-                iterations: inner.max_iters,
-                residual: norm_inf(&r),
-                residual_tail: Vec::new(),
-            });
-        }
-    }
-    // Sensitivity: (a0·C₊ + G₊)·M₊ = RHS·M, with
-    //   BE:   RHS = a0·C_prev
-    //   Trap: RHS = a0·C_prev − G_prev  (∂q̇_prev/∂x_prev = −G_prev … via
-    //          q̇_prev = b_prev − f_prev).
-    let j = jac.expect("jacobian available");
-    let lu = j.lu().map_err(Error::Numerics)?;
-    *solves += 1;
-    let mut m_new = Mat::zeros(n, n);
-    for col in 0..n {
-        let mcol = m.col(col);
-        let mut rhs = c_prev.matvec(&mcol);
-        for v in &mut rhs {
-            *v *= a0;
-        }
-        if trapezoidal {
-            let gm = g_prev.matvec(&mcol);
+}
+
+/// One period's stepping state: the Newton kernel every step shares, and
+/// the DAE at the current state and at the kernel's last evaluation.
+struct Stepper<'a> {
+    dae: &'a dyn Dae,
+    newton: &'a mut Newton,
+    prev: Point,
+    next: Point,
+}
+
+impl Stepper<'_> {
+    /// One implicit step from the state `prev` was evaluated at, with
+    /// sensitivity propagation: returns the new state and updates `m`
+    /// (the accumulated monodromy) in place.
+    #[allow(clippy::too_many_arguments)]
+    fn step(
+        &mut self,
+        x_prev: &[f64],
+        m: &mut Mat<f64>,
+        t_new: f64,
+        h: f64,
+        trapezoidal: bool,
+        inner: &DcOptions,
+        solves: &mut usize,
+    ) -> Result<Vec<f64>> {
+        let dae = self.dae;
+        let n = dae.dim();
+        let mut b_prev = vec![0.0; n];
+        dae.eval_b(TwoTime::uni(t_new - h), &mut b_prev);
+        let mut b = vec![0.0; n];
+        dae.eval_b(TwoTime::uni(t_new), &mut b);
+        let a0 = if trapezoidal { 2.0 / h } else { 1.0 / h };
+        let Stepper { newton, prev, next, .. } = self;
+        let mut x = x_prev.to_vec();
+        let solved = newton.solve(&mut x, inner, |x, r, jac| {
+            next.eval(dae, x);
             for i in 0..n {
-                rhs[i] -= gm[i];
+                // 2(q − q_prev)/h − q̇_prev + f − b under trapezoidal
+                // stepping, with q̇_prev = b_prev − f_prev from the DAE.
+                let qdot_prev = if trapezoidal { b_prev[i] - prev.f[i] } else { 0.0 };
+                r[i] = a0 * (next.q[i] - prev.q[i]) - qdot_prev + next.f[i] - b[i];
             }
+            for &(i, j, v) in next.c.entries() {
+                jac.push(i, j, a0 * v);
+            }
+            for &(i, j, v) in next.g.entries() {
+                jac.push(i, j, v);
+            }
+            inner.abstol
+        });
+        *solves += match solved {
+            Ok(iterations) => iterations,
+            // Accept a residual that is merely small rather than tiny.
+            Err(rfsim_circuit::Error::NewtonNoConvergence { iterations, residual })
+                if residual <= 1e-4 =>
+            {
+                iterations
+            }
+            Err(rfsim_circuit::Error::NewtonNoConvergence { iterations, residual }) => {
+                return Err(Error::NoConvergence {
+                    iterations,
+                    residual,
+                    residual_tail: Vec::new(),
+                });
+            }
+            Err(e) => return Err(e.into()),
+        };
+        // Sensitivity: (a0·C₊ + G₊)·M₊ = RHS·M, with
+        //   BE:   RHS = a0·C_prev
+        //   Trap: RHS = a0·C_prev − G_prev  (∂q̇_prev/∂x_prev = −G_prev … via
+        //          q̇_prev = b_prev − f_prev).
+        // The kernel's last evaluation is at `x`, so its Jacobian is J₊.
+        let lu = newton.factor()?;
+        *solves += 1;
+        let mut m_new = Mat::zeros(n, n);
+        let mut rhs = vec![0.0; n];
+        for col in 0..n {
+            let mcol = m.col(col);
+            rhs.fill(0.0);
+            for &(i, j, v) in prev.c.entries() {
+                rhs[i] += a0 * v * mcol[j];
+            }
+            if trapezoidal {
+                for &(i, j, v) in prev.g.entries() {
+                    rhs[i] -= v * mcol[j];
+                }
+            }
+            let sol = lu.solve(&rhs)?;
+            m_new.set_col(col, &sol);
         }
-        let sol = lu.solve(&rhs).map_err(Error::Numerics)?;
-        m_new.set_col(col, &sol);
+        *m = m_new;
+        // The new state's evaluation is the next step's previous one.
+        std::mem::swap(prev, next);
+        Ok(x)
     }
-    *m = m_new;
-    Ok(x)
 }
 
 /// Trajectory states, times, and monodromy from one period of integration.
@@ -199,6 +212,7 @@ fn fly(
     x0: &[f64],
     period: f64,
     opts: &ShootingOptions,
+    newton: &mut Newton,
     solves: &mut usize,
 ) -> Result<Flight> {
     let n = dae.dim();
@@ -209,6 +223,8 @@ fn fly(
     let mut times = Vec::with_capacity(m_steps + 1);
     states.push(x0.to_vec());
     times.push(0.0);
+    let mut stepper = Stepper { dae, newton, prev: Point::new(n), next: Point::new(n) };
+    stepper.prev.eval(dae, x0);
     let mut x = x0.to_vec();
     for k in 0..m_steps {
         let t_new = (k + 1) as f64 * h;
@@ -218,7 +234,7 @@ fn fly(
         // directions and make the shooting Jacobian (M − I) singular. One
         // BE step projects onto the constraint manifold.
         let trap = opts.trapezoidal && k > 0;
-        x = step_with_sensitivity(dae, &x, &mut monodromy, t_new, h, trap, &opts.inner, solves)?;
+        x = stepper.step(&x, &mut monodromy, t_new, h, trap, &opts.inner, solves)?;
         states.push(x.clone());
         times.push(t_new);
     }
@@ -242,8 +258,11 @@ pub fn shooting(dae: &dyn Dae, period: f64, opts: &ShootingOptions) -> Result<Sh
     let mut x0 = op.x;
     let mut solves = 0usize;
     let mut last_res = f64::INFINITY;
+    // One kernel, and so one Jacobian analysis, for every step of every
+    // flight.
+    let mut newton = Newton::default();
     for it in 0..opts.max_newton {
-        let (states, times, monodromy) = fly(dae, &x0, period, opts, &mut solves)?;
+        let (states, times, monodromy) = fly(dae, &x0, period, opts, &mut newton, &mut solves)?;
         let x_end = states.last().expect("nonempty trajectory");
         let r: Vec<f64> = (0..n).map(|i| x_end[i] - x0[i]).collect();
         let res = norm_inf(&r);

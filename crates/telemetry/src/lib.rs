@@ -295,23 +295,6 @@ impl Snapshot {
         ])
     }
 
-    /// Rebuilds the health events of a snapshot from its JSON
-    /// serialization.
-    pub fn health_from_json(value: &Json) -> Option<Vec<HealthEvent>> {
-        let arr = value.get("health")?.as_arr()?;
-        let mut out = Vec::with_capacity(arr.len());
-        for h in arr {
-            out.push(HealthEvent {
-                monitor: h.get("monitor")?.as_str()?.to_string(),
-                solver: h.get("solver")?.as_str()?.to_string(),
-                detail: h.get("detail")?.as_str()?.to_string(),
-                value: h.get("value")?.as_f64().unwrap_or(f64::NAN),
-                iteration: h.get("iteration")?.as_f64()? as usize,
-            });
-        }
-        Some(out)
-    }
-
     /// Rebuilds the histograms of a snapshot from its JSON
     /// serialization. Tolerates both the current bucketed shape and the
     /// pre-quantile moments-only shape (see [`Histogram::from_json`]).
@@ -576,8 +559,6 @@ mod tests {
         assert_eq!(j.get("counters").unwrap().get("a.b").unwrap().as_f64(), Some(3.0));
         let traces = Snapshot::traces_from_json(&j).unwrap();
         assert_eq!(traces, snap.traces);
-        let health = Snapshot::health_from_json(&j).unwrap();
-        assert_eq!(health, snap.health);
         let report = snap.render_report();
         assert!(report.contains("health events:"));
         assert!(report.contains("stagnation"));
