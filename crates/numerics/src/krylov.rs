@@ -1,5 +1,6 @@
-//! Krylov-subspace iterative solvers: restarted GMRES and block GMRES,
-//! generic over real/complex scalars, with pluggable preconditioning.
+//! Krylov-subspace iterative solvers: one restarted block GMRES loop,
+//! which single right-hand-side GMRES runs at `p = 1`, generic over
+//! real/complex scalars, with pluggable preconditioning.
 //!
 //! These are the "iterative linear algebra techniques" (\[12\] in the paper)
 //! that let harmonic balance "handle integrated designs containing many more
@@ -122,112 +123,6 @@ impl<T: Scalar> Preconditioner<T> for JacobiPrecond<T> {
     }
 }
 
-/// Incomplete LU factorization with zero fill-in (ILU(0)): the classic
-/// preconditioner for the sparse differential-formulation matrices of
-/// Table 1 (FD/FE volume discretizations), where the exact factors would
-/// fill in but the no-fill approximation already clusters the spectrum.
-pub struct Ilu0<T> {
-    /// Row-major storage mirroring the input pattern: strictly-lower
-    /// entries hold L (unit diagonal implicit), diagonal + upper hold U.
-    rows: Vec<Vec<(usize, T)>>,
-    n: usize,
-}
-
-impl<T: Scalar> Ilu0<T> {
-    /// Computes the ILU(0) factorization of a sparse matrix.
-    ///
-    /// # Errors
-    /// Returns [`Error::Singular`] when a zero pivot appears (the
-    /// factorization exists only for matrices with a nonzero diagonal).
-    pub fn new(a: &crate::sparse::Csr<T>) -> Result<Self> {
-        let n = a.rows();
-        let mut rows: Vec<Vec<(usize, T)>> = vec![Vec::new(); n];
-        for (i, j, v) in a.iter() {
-            rows[i].push((j, v));
-        }
-        for r in &mut rows {
-            r.sort_by_key(|&(j, _)| j);
-        }
-        // IKJ-variant incomplete elimination restricted to the pattern.
-        for i in 0..n {
-            // Work on a copy of row i to avoid aliasing issues.
-            let mut row_i = rows[i].clone();
-            for idx in 0..row_i.len() {
-                let (k, _) = row_i[idx];
-                if k >= i {
-                    break;
-                }
-                // Pivot U[k][k].
-                let pivot =
-                    rows[k].iter().find(|&&(j, _)| j == k).map(|&(_, v)| v).unwrap_or(T::ZERO);
-                if pivot.modulus() < 1e-300 {
-                    return Err(Error::Singular(k));
-                }
-                let lik = row_i[idx].1 / pivot;
-                row_i[idx].1 = lik;
-                // row_i ← row_i − lik·U_row(k), restricted to the pattern.
-                for &(j, ukj) in &rows[k] {
-                    if j <= k {
-                        continue;
-                    }
-                    if let Ok(pos) = row_i.binary_search_by_key(&j, |&(c, _)| c) {
-                        let delta = lik * ukj;
-                        row_i[pos].1 -= delta;
-                    }
-                }
-            }
-            rows[i] = row_i;
-        }
-        // Verify diagonals exist.
-        for (i, r) in rows.iter().enumerate() {
-            let ok = r.iter().any(|&(j, v)| j == i && v.modulus() > 1e-300);
-            if !ok {
-                return Err(Error::Singular(i));
-            }
-        }
-        Ok(Ilu0 { rows, n })
-    }
-
-    /// Applies `(LU)⁻¹` to a vector.
-    fn solve_into(&self, r: &[T], z: &mut [T]) {
-        z.copy_from_slice(r);
-        // Forward: L z = r (unit diagonal).
-        for i in 0..self.n {
-            let mut acc = z[i];
-            for &(j, v) in &self.rows[i] {
-                if j >= i {
-                    break;
-                }
-                acc -= v * z[j];
-            }
-            z[i] = acc;
-        }
-        // Backward: U z = y.
-        for i in (0..self.n).rev() {
-            let mut acc = z[i];
-            let mut diag = T::ONE;
-            for &(j, v) in &self.rows[i] {
-                if j < i {
-                    continue;
-                }
-                if j == i {
-                    diag = v;
-                } else {
-                    acc -= v * z[j];
-                }
-            }
-            z[i] = acc / diag;
-        }
-    }
-}
-
-impl<T: Scalar> Preconditioner<T> for Ilu0<T> {
-    fn apply(&self, r: &[T], z: &mut [T]) -> Result<()> {
-        self.solve_into(r, z);
-        Ok(())
-    }
-}
-
 /// Convergence/diagnostic report from an iterative solve.
 #[derive(Debug, Clone, PartialEq)]
 pub struct IterStats {
@@ -256,44 +151,41 @@ impl Default for KrylovOptions {
     }
 }
 
-/// Reusable buffers for [`gmres_with`]: the Krylov basis, Hessenberg
-/// columns, Givens rotation arrays, and residual/work vectors. A
-/// workspace survives restart cycles and repeated solves, so an outer
-/// Newton loop pays the basis allocation once instead of per correction.
-/// Buffers grow to the largest problem seen and are then reused
-/// allocation-free; results are bitwise identical to [`gmres`].
+/// Reusable buffers for the GMRES loop behind [`gmres_with`] and
+/// [`block_gmres`]: the Krylov basis, the Hessenberg columns, the Givens
+/// rotations, the rotated projected right-hand sides and the operator's
+/// products. A workspace survives restart cycles and repeated solves, so
+/// an outer Newton loop pays the basis allocation once instead of per
+/// correction. Basis vectors are sized on first use and every buffer
+/// grows to the largest solve seen; on a warm workspace no iteration
+/// allocates, at any number of right-hand sides.
 #[derive(Debug)]
 pub struct GmresWorkspace<T: Copy> {
-    // The n-length arena buffers live in 32-byte [`AlignedVec`] storage so
-    // the AVX2 kernels see aligned loads; the O(m) Givens/Hessenberg
-    // arrays stay in plain `Vec`s.
+    // The basis lives in 32-byte [`AlignedVec`] storage so the AVX2
+    // kernels see aligned loads. A GMRES(m) solve on p right-hand sides
+    // keeps m Hessenberg columns in `h` and p projected right-hand sides
+    // in `g`, each m + p rows long, and p rotations per column.
     v: Vec<AlignedVec<T>>,
-    h: Vec<Vec<T>>,
+    ax: Vec<Vec<T>>,
+    h: Vec<T>,
     cs: Vec<T>,
     sn: Vec<T>,
     g: Vec<T>,
     y: Vec<T>,
-    zb: AlignedVec<T>,
-    work: AlignedVec<T>,
-    r: AlignedVec<T>,
-    z: AlignedVec<T>,
-    w: AlignedVec<T>,
+    bnorms: Vec<f64>,
 }
 
 impl<T: Copy> Default for GmresWorkspace<T> {
     fn default() -> Self {
         GmresWorkspace {
             v: Vec::new(),
+            ax: Vec::new(),
             h: Vec::new(),
             cs: Vec::new(),
             sn: Vec::new(),
             g: Vec::new(),
             y: Vec::new(),
-            zb: AlignedVec::new(),
-            work: AlignedVec::new(),
-            r: AlignedVec::new(),
-            z: AlignedVec::new(),
-            w: AlignedVec::new(),
+            bnorms: Vec::new(),
         }
     }
 }
@@ -305,33 +197,23 @@ impl<T: Copy> GmresWorkspace<T> {
     }
 
     /// Heap bytes the workspace holds, by capacity: what dropping it
-    /// frees. A warm GMRES(m) workspace of dimension `n` holds up to
-    /// `m + 1` basis vectors and an `(m + 1) × m` Hessenberg matrix.
+    /// frees. A warm GMRES(m) workspace of dimension `n` for p
+    /// right-hand sides holds up to `m + p` basis vectors, p operator
+    /// products, and m Hessenberg columns of `m + p` rows.
     pub fn bytes(&self) -> usize {
-        let arena = [&self.zb, &self.work, &self.r, &self.z, &self.w]
-            .into_iter()
-            .chain(&self.v)
-            .map(AlignedVec::capacity)
-            .sum::<usize>();
-        let small = [&self.cs, &self.sn, &self.g, &self.y]
-            .into_iter()
-            .chain(&self.h)
-            .map(Vec::capacity)
-            .sum::<usize>();
-        (arena + small) * std::mem::size_of::<T>()
+        let vectors = self.v.iter().map(AlignedVec::capacity).sum::<usize>()
+            + self.ax.iter().map(Vec::capacity).sum::<usize>();
+        let small: usize =
+            [&self.h, &self.cs, &self.sn, &self.g, &self.y].map(Vec::capacity).iter().sum();
+        (vectors + small) * std::mem::size_of::<T>()
+            + self.bnorms.capacity() * std::mem::size_of::<f64>()
             + self.v.capacity() * std::mem::size_of::<AlignedVec<T>>()
-            + self.h.capacity() * std::mem::size_of::<Vec<T>>()
+            + self.ax.capacity() * std::mem::size_of::<Vec<T>>()
     }
 }
 
 /// Zero-fills `buf` at length `n`, reusing its allocation.
 fn reset_buf<T: Scalar>(buf: &mut Vec<T>, n: usize) {
-    buf.clear();
-    buf.resize(n, T::ZERO);
-}
-
-/// [`reset_buf`] for the 32-byte-aligned arena buffers.
-fn reset_avec<T: Scalar>(buf: &mut AlignedVec<T>, n: usize) {
     buf.clear();
     buf.resize(n, T::ZERO);
 }
@@ -378,18 +260,18 @@ pub fn gmres_with<T: Scalar>(
     precond: &dyn Preconditioner<T>,
     opts: &KrylovOptions,
     ws: &mut GmresWorkspace<T>,
-    recycle: Option<&mut RecycleSpace<T>>,
+    mut recycle: Option<&mut RecycleSpace<T>>,
 ) -> Result<(Vec<T>, IterStats)> {
-    let Some(recycle) = recycle else {
-        return gmres_cycles(a, b, x0, precond, opts, ws);
-    };
     let n = a.dim();
     if b.len() != n {
         return Err(Error::DimensionMismatch { expected: n, found: b.len() });
     }
     let mut x = x0.map_or_else(|| vec![T::ZERO; n], <[T]>::to_vec);
+    // A recycled solve starts from its projection: its first cycle
+    // applies `A`, even while the space is still empty.
+    let from_zero = x0.is_none() && recycle.is_none();
     let mut extra_matvecs = 0usize;
-    if recycle.dim() > 0 {
+    if let Some(recycle) = recycle.as_deref_mut().filter(|r| r.dim() > 0) {
         let mut r = vec![T::ZERO; n];
         a.apply(&x, &mut r);
         extra_matvecs += 1;
@@ -402,180 +284,21 @@ pub fn gmres_with<T: Scalar>(
             telemetry::counter_add("krylov.recycle_dim", used as u64);
         }
     }
-    let (x, mut stats) = gmres_cycles(a, b, Some(&x), precond, opts, ws)?;
-    stats.matvecs += extra_matvecs + 1; // +1 for the harvest below
-    recycle.harvest(a, &x);
+    let mut stats = cycles(
+        a,
+        std::slice::from_ref(&b),
+        std::slice::from_mut(&mut x),
+        from_zero,
+        precond,
+        opts,
+        ws,
+        false,
+    )?;
+    if let Some(recycle) = recycle {
+        stats.matvecs += extra_matvecs + 1; // +1 for the harvest below
+        recycle.harvest(a, &x);
+    }
     Ok((x, stats))
-}
-
-/// The restarted GMRES(m) cycles behind [`gmres_with`], timed as the
-/// `krylov.gmres` span (a recycled solve's projection and harvest stay
-/// outside it).
-fn gmres_cycles<T: Scalar>(
-    a: &dyn LinearOperator<T>,
-    b: &[T],
-    x0: Option<&[T]>,
-    precond: &dyn Preconditioner<T>,
-    opts: &KrylovOptions,
-    ws: &mut GmresWorkspace<T>,
-) -> Result<(Vec<T>, IterStats)> {
-    let n = a.dim();
-    if b.len() != n {
-        return Err(Error::DimensionMismatch { expected: n, found: b.len() });
-    }
-    let _span = telemetry::span("krylov.gmres");
-    crate::kernels::note_dispatch(1);
-    let mut trace = telemetry::TraceBuf::new("krylov.gmres");
-    let mut monitor = telemetry::ResidualMonitor::new("krylov.gmres");
-    let mut tail = ResidualTail::new();
-    let m = opts.restart.max(1).min(n.max(1));
-    let mut x = x0.map_or_else(|| vec![T::ZERO; n], <[T]>::to_vec);
-    let mut matvecs = 0usize;
-    let mut total_iters = 0usize;
-
-    // Preconditioned RHS norm for the relative stopping test.
-    reset_avec(&mut ws.zb, n);
-    precond.apply(b, &mut ws.zb)?;
-    let bnorm = gnorm2(&ws.zb).max(1e-300);
-
-    reset_avec(&mut ws.work, n);
-    reset_avec(&mut ws.r, n);
-    reset_avec(&mut ws.z, n);
-    reset_avec(&mut ws.w, n);
-    if ws.v.len() < m + 1 {
-        ws.v.resize_with(m + 1, AlignedVec::new);
-    }
-    if ws.h.len() < m + 1 {
-        ws.h.resize_with(m + 1, Vec::new);
-    }
-    let mut resid_norm = f64::INFINITY;
-    // From x = 0 the first residual M⁻¹(b − A·0) is M⁻¹b, which `zb`
-    // already holds.
-    let mut from_zero = x0.is_none();
-    while total_iters < opts.max_iters {
-        if std::mem::take(&mut from_zero) {
-            ws.z.copy_from_slice(&ws.zb);
-        } else {
-            // r = M⁻¹(b − A·x)
-            a.apply(&x, &mut ws.work);
-            matvecs += 1;
-            for i in 0..n {
-                ws.r[i] = b[i] - ws.work[i];
-            }
-            precond.apply(&ws.r, &mut ws.z)?;
-        }
-        let beta = gnorm2(&ws.z);
-        resid_norm = beta / bnorm;
-        if resid_norm <= opts.tol {
-            let stats = IterStats { iterations: total_iters, residual: resid_norm, matvecs };
-            note_gmres(trace, &stats, true);
-            return Ok((x, stats));
-        }
-        // Arnoldi with Givens-rotated Hessenberg least squares.
-        for row in ws.h.iter_mut().take(m + 1) {
-            reset_buf(row, m);
-        }
-        reset_buf(&mut ws.cs, m);
-        reset_buf(&mut ws.sn, m);
-        reset_buf(&mut ws.g, m + 1);
-        ws.g[0] = T::from_f64(beta);
-        reset_avec(&mut ws.v[0], n);
-        ws.v[0].copy_from_slice(&ws.z);
-        T::slice_scale(&mut ws.v[0], 1.0 / beta);
-        let mut k_used = 0;
-        for k in 0..m {
-            if total_iters >= opts.max_iters {
-                break;
-            }
-            total_iters += 1;
-            a.apply(&ws.v[k], &mut ws.work);
-            matvecs += 1;
-            precond.apply(&ws.work, &mut ws.w)?;
-            // Modified Gram–Schmidt via the dispatched slice kernels.
-            for i in 0..=k {
-                let hik = gdot(&ws.v[i], &ws.w);
-                ws.h[i][k] = hik;
-                T::slice_axpy(-hik, &ws.v[i], &mut ws.w);
-            }
-            let hk1 = gnorm2(&ws.w);
-            ws.h[k + 1][k] = T::from_f64(hk1);
-            // Apply accumulated Givens rotations to the new column.
-            for i in 0..k {
-                let t = ws.cs[i].conj() * ws.h[i][k] + ws.sn[i].conj() * ws.h[i + 1][k];
-                ws.h[i + 1][k] = -ws.sn[i] * ws.h[i][k] + ws.cs[i] * ws.h[i + 1][k];
-                ws.h[i][k] = t;
-            }
-            // New rotation eliminating h[k+1][k]. Convention: with
-            // c = a/r, s = b/r for the pair (a, b), the rotation maps
-            // top ← c̄·top + s̄·bottom and bottom ← −s·top + c·bottom,
-            // which sends (a, b) to (r, 0) and is unitary.
-            let denom = (ws.h[k][k].modulus().powi(2) + hk1 * hk1).sqrt();
-            if denom == 0.0 {
-                ws.cs[k] = T::ONE;
-                ws.sn[k] = T::ZERO;
-            } else {
-                ws.cs[k] = ws.h[k][k].scale_by(1.0 / denom);
-                ws.sn[k] = T::from_f64(hk1 / denom);
-                ws.h[k][k] = T::from_f64(denom);
-                ws.h[k + 1][k] = T::ZERO;
-            }
-            let gk = ws.g[k];
-            ws.g[k] = ws.cs[k].conj() * gk;
-            ws.g[k + 1] = -ws.sn[k] * gk;
-            k_used = k + 1;
-            resid_norm = ws.g[k + 1].modulus() / bnorm;
-            trace.push(resid_norm);
-            monitor.observe(resid_norm);
-            tail.push(resid_norm);
-            if hk1 < 1e-300 {
-                // Happy breakdown: exact solution in the current space.
-                break;
-            }
-            if resid_norm <= opts.tol {
-                break;
-            }
-            reset_avec(&mut ws.v[k + 1], n);
-            ws.v[k + 1].copy_from_slice(&ws.w);
-            T::slice_scale(&mut ws.v[k + 1], 1.0 / hk1);
-        }
-        // Solve the small triangular system h[0..k_used][..]·y = g.
-        reset_buf(&mut ws.y, k_used);
-        for i in (0..k_used).rev() {
-            let mut acc = ws.g[i];
-            for j in i + 1..k_used {
-                acc -= ws.h[i][j] * ws.y[j];
-            }
-            if ws.h[i][i] == T::ZERO {
-                ws.y[i] = T::ZERO;
-            } else {
-                ws.y[i] = acc / ws.h[i][i];
-            }
-        }
-        for (j, yj) in ws.y.iter().enumerate() {
-            T::slice_axpy(*yj, &ws.v[j], &mut x);
-        }
-        if resid_norm <= opts.tol {
-            let stats = IterStats { iterations: total_iters, residual: resid_norm, matvecs };
-            note_gmres(trace, &stats, true);
-            return Ok((x, stats));
-        }
-    }
-    let stats = IterStats { iterations: total_iters, residual: resid_norm, matvecs };
-    note_gmres(trace, &stats, false);
-    Err(Error::NoConvergence {
-        iterations: total_iters,
-        residual: resid_norm,
-        residual_tail: tail.to_vec(),
-    })
-}
-
-/// Emits the iteration statistics of one GMRES solve into telemetry.
-fn note_gmres(trace: telemetry::TraceBuf, stats: &IterStats, converged: bool) {
-    trace.commit(converged);
-    telemetry::counter_add("krylov.gmres.solves", 1);
-    telemetry::counter_add("krylov.gmres.iterations", stats.iterations as u64);
-    telemetry::counter_add("krylov.gmres.matvecs", stats.matvecs as u64);
-    telemetry::histogram_record("krylov.gmres.iterations_per_solve", stats.iterations as f64);
 }
 
 /// A recycled (deflation) subspace shared across a sweep of related
@@ -704,40 +427,6 @@ impl<T: Scalar> RecycleSpace<T> {
     }
 }
 
-/// One Givens rotation of the band-Hessenberg least squares inside
-/// [`block_gmres`], acting on the row pair `(row, row + 1)`.
-struct BlockRotation<T> {
-    row: usize,
-    cs: T,
-    sn: T,
-}
-
-impl<T: Scalar> BlockRotation<T> {
-    /// Builds the rotation sending `(a, b)` to `(√(|a|²+|b|²), 0)`.
-    fn eliminate(a: T, b: T) -> (Self, T) {
-        let denom = (a.modulus().powi(2) + b.modulus().powi(2)).sqrt();
-        if denom == 0.0 {
-            (BlockRotation { row: 0, cs: T::ONE, sn: T::ZERO }, T::ZERO)
-        } else {
-            (
-                BlockRotation { row: 0, cs: a.scale_by(1.0 / denom), sn: b.scale_by(1.0 / denom) },
-                T::from_f64(denom),
-            )
-        }
-    }
-
-    /// Applies the rotation to `col[row]`/`col[row + 1]` (if in range).
-    fn apply(&self, col: &mut [T]) {
-        if self.row + 1 >= col.len() {
-            return;
-        }
-        let top = col[self.row];
-        let bot = col[self.row + 1];
-        col[self.row] = self.cs.conj() * top + self.sn.conj() * bot;
-        col[self.row + 1] = -self.sn * top + self.cs * bot;
-    }
-}
-
 /// Block GMRES for multi-RHS systems `A·x_j = b_j`, sharing one Krylov
 /// space across all right-hand sides (restarted, left-preconditioned).
 ///
@@ -748,13 +437,13 @@ impl<T: Scalar> BlockRotation<T> {
 /// `p` independent solves — this is the multi-conductor capacitance
 /// extraction path of the paper's §4 workloads. The small projected
 /// problem is a band-Hessenberg least squares (bandwidth `p`) eliminated
-/// by Givens rotations, exactly generalizing the single-RHS GMRES above;
-/// `p = 1` reproduces its arithmetic.
+/// by Givens rotations; [`gmres`] runs the same loop at `p = 1`.
 ///
 /// `opts.restart` bounds the basis **columns** per cycle and
 /// `opts.max_iters` the total columns; [`IterStats::iterations`] counts
-/// columns (= operator applications), so per-RHS cost is
-/// `iterations / p`.
+/// columns, so per-RHS cost is `iterations / p`. A solve from zero
+/// applies the operator once per column; each restart adds one block
+/// product of `p` applications.
 ///
 /// # Errors
 /// [`Error::NoConvergence`] when any right-hand side misses the
@@ -772,197 +461,257 @@ pub fn block_gmres<T: Scalar>(
     if p == 0 {
         return Ok((Vec::new(), IterStats { iterations: 0, residual: 0.0, matvecs: 0 }));
     }
-    for b in bs {
-        if b.len() != n {
-            return Err(Error::DimensionMismatch { expected: n, found: b.len() });
-        }
+    if let Some(v) = bs.iter().chain(x0.into_iter().flatten()).find(|v| v.len() != n) {
+        return Err(Error::DimensionMismatch { expected: n, found: v.len() });
     }
-    if let Some(xs) = x0 {
-        if xs.len() != p {
-            return Err(Error::DimensionMismatch { expected: p, found: xs.len() });
-        }
-        for x in xs {
-            if x.len() != n {
-                return Err(Error::DimensionMismatch { expected: n, found: x.len() });
-            }
-        }
+    if let Some(xs) = x0.filter(|xs| xs.len() != p) {
+        return Err(Error::DimensionMismatch { expected: p, found: xs.len() });
     }
-    let _span = telemetry::span("krylov.block_gmres");
+    let mut xs = x0.map_or_else(|| vec![vec![T::ZERO; n]; p], <[Vec<T>]>::to_vec);
+    // A one-shot solve reserves a whole cycle's basis, so no iteration
+    // allocates.
+    let mut ws = GmresWorkspace::new();
+    ws.v.resize_with(opts.restart.max(1).min(n.max(1)) + p, || AlignedVec::with_capacity(n));
+    let stats = cycles(a, bs, &mut xs, x0.is_none(), precond, opts, &mut ws, true)?;
+    Ok((xs, stats))
+}
+
+/// The one restarted GMRES(m) loop: block GMRES on the `p = bs.len()`
+/// right-hand sides, which [`gmres_with`] runs at `p = 1` and
+/// [`block_gmres`] at any `p`, timed and counted as `krylov.gmres` or, for
+/// a `block`, `krylov.block_gmres`. Every `xs[j]` is updated in place.
+/// With `from_zero` (every `xs[j]` is zero) the first cycle starts from
+/// the preconditioned right-hand sides instead of applying `A` to zero.
+#[allow(clippy::too_many_arguments)]
+fn cycles<T: Scalar, B: AsRef<[T]>>(
+    a: &dyn LinearOperator<T>,
+    bs: &[B],
+    xs: &mut [Vec<T>],
+    mut from_zero: bool,
+    precond: &dyn Preconditioner<T>,
+    opts: &KrylovOptions,
+    ws: &mut GmresWorkspace<T>,
+    block: bool,
+) -> Result<IterStats> {
+    let name = if block { "krylov.block_gmres" } else { "krylov.gmres" };
+    let _span = telemetry::span(name);
     crate::kernels::note_dispatch(1);
-    let mut trace = telemetry::TraceBuf::new("krylov.block_gmres");
-    let mut monitor = telemetry::ResidualMonitor::new("krylov.block_gmres");
+    let mut trace = telemetry::TraceBuf::new(name);
+    let mut monitor = telemetry::ResidualMonitor::new(name);
     let mut tail = ResidualTail::new();
-    let mut xs: Vec<Vec<T>> = x0.map_or_else(|| vec![vec![T::ZERO; n]; p], <[Vec<T>]>::to_vec);
-    // Preconditioned RHS norms for the per-RHS relative stopping test.
-    let mut zb = vec![T::ZERO; n];
-    let mut bnorms = Vec::with_capacity(p);
-    for b in bs {
-        precond.apply(b, &mut zb)?;
-        bnorms.push(gnorm2(&zb).max(1e-300));
-    }
+    let (n, p) = (a.dim(), bs.len());
     let m = opts.restart.max(1).min(n.max(1));
-    let mut matvecs = 0usize;
-    let mut total_cols = 0usize;
-    let mut ys: Vec<Vec<T>> = vec![vec![T::ZERO; n]; p];
-    let mut work = vec![T::ZERO; n];
-    let mut resid_max = f64::INFINITY;
-    while total_cols < opts.max_iters {
-        // Residual block R_j = M⁻¹(b_j − A·x_j), through the block apply.
-        a.apply_block(&xs, &mut ys);
-        matvecs += p;
-        let mut rblock: Vec<Vec<T>> = Vec::with_capacity(p);
-        for j in 0..p {
-            for i in 0..n {
-                work[i] = bs[j][i] - ys[j][i];
-            }
-            let mut z = vec![T::ZERO; n];
-            precond.apply(&work, &mut z)?;
-            rblock.push(z);
-        }
-        resid_max = rblock.iter().zip(&bnorms).map(|(r, bn)| gnorm2(r) / bn).fold(0.0f64, f64::max);
-        if resid_max <= opts.tol {
-            let stats = IterStats { iterations: total_cols, residual: resid_max, matvecs };
-            note_block_gmres(trace, &stats, p, true);
-            return Ok((xs, stats));
-        }
-        // Block orthonormalization of R into the first p basis vectors;
-        // `g[j]` holds the rotated projected RHS for column j of the block.
-        let mut v: Vec<Vec<T>> = Vec::with_capacity(m + p);
-        let mut g: Vec<Vec<T>> = vec![Vec::new(); p];
-        let mut s = vec![vec![T::ZERO; p]; p]; // S[i][j], upper triangular
-        for (j, mut w) in rblock.into_iter().enumerate() {
-            for i in 0..j {
-                let sij = gdot(&v[i], &w);
-                s[i][j] = sij;
-                T::slice_axpy(-sij, &v[i], &mut w);
-            }
-            let nrm = gnorm2(&w);
-            s[j][j] = T::from_f64(nrm);
-            if nrm > 1e-300 {
-                T::slice_scale(&mut w, 1.0 / nrm);
-                v.push(w);
-            } else {
-                // Dependent residual column: a zero basis vector keeps the
-                // indexing intact and drops out of every inner product.
-                v.push(vec![T::ZERO; n]);
+    // Rows of one Hessenberg column and of one projected right-hand side.
+    let stride = m + p;
+    if ws.v.len() < stride {
+        ws.v.resize_with(stride, AlignedVec::new);
+    }
+    if ws.ax.len() < p {
+        ws.ax.resize_with(p, Vec::new);
+    }
+    for y in &mut ws.ax[..p] {
+        y.resize(n, T::ZERO);
+    }
+    reset_buf(&mut ws.h, m * stride);
+    reset_buf(&mut ws.cs, m * p);
+    reset_buf(&mut ws.sn, m * p);
+    reset_buf(&mut ws.y, m);
+    // Preconditioned right-hand-side norms for the per-RHS relative
+    // stopping test. From x = 0 the first residual block M⁻¹(b − A·0) is
+    // M⁻¹b, which the first p basis vectors now hold.
+    ws.bnorms.clear();
+    for (b, v) in bs.iter().zip(&mut ws.v) {
+        v.resize(n, T::ZERO);
+        precond.apply(b.as_ref(), v)?;
+        ws.bnorms.push(gnorm2(v).max(1e-300));
+    }
+    let (mut matvecs, mut total) = (0usize, 0usize);
+    let mut resid = f64::INFINITY;
+    let mut converged = false;
+    while !converged && total < opts.max_iters {
+        if !std::mem::take(&mut from_zero) {
+            // Residual block R_j = M⁻¹(b_j − A·x_j), through the block apply.
+            a.apply_block(xs, &mut ws.ax[..p]);
+            matvecs += p;
+            for ((r, b), v) in ws.ax.iter_mut().zip(bs).zip(&mut ws.v) {
+                for (ri, bi) in r.iter_mut().zip(b.as_ref()) {
+                    *ri = *bi - *ri;
+                }
+                precond.apply(r, v)?;
             }
         }
-        for j in 0..p {
-            g[j] = (0..p).map(|i| s[i][j]).collect();
+        // Orthonormalize R into the first p basis vectors: column j of its
+        // triangular factor starts the projected right-hand side g_j.
+        reset_buf(&mut ws.g, p * stride);
+        for (j, gj) in ws.g.chunks_mut(stride).enumerate() {
+            let (done, rest) = ws.v.split_at_mut(j);
+            let nrm = orthogonalize(done, &mut rest[0], gj);
+            gj[j] = T::from_f64(nrm);
+            normalize(&mut rest[0], nrm);
         }
-        let mut hcols: Vec<Vec<T>> = Vec::with_capacity(m);
-        let mut rotations: Vec<BlockRotation<T>> = Vec::with_capacity(m * p);
-        let mut k_used = 0usize;
-        let mut converged = false;
+        resid = resid_max(&ws.g, stride, 0, &ws.bnorms);
+        if resid <= opts.tol {
+            converged = true;
+            break;
+        }
+        let mut k_used = 0;
         for k in 0..m {
-            if total_cols >= opts.max_iters {
+            if total >= opts.max_iters {
                 break;
             }
-            total_cols += 1;
-            a.apply(&v[k], &mut work);
+            total += 1;
+            a.apply(&ws.v[k], &mut ws.ax[0]);
             matvecs += 1;
-            let mut w = vec![T::ZERO; n];
-            precond.apply(&work, &mut w)?;
-            // Modified Gram–Schmidt against every existing basis vector.
-            let mut col = vec![T::ZERO; k + p + 1];
-            for i in 0..k + p {
-                let hik = gdot(&v[i], &w);
-                col[i] = hik;
-                T::slice_axpy(-hik, &v[i], &mut w);
+            let (basis, rest) = ws.v.split_at_mut(k + p);
+            let w = &mut rest[0];
+            w.resize(n, T::ZERO);
+            precond.apply(&ws.ax[0], w)?;
+            let col = &mut ws.h[k * stride..(k + 1) * stride];
+            let nrm = orthogonalize(basis, w, col);
+            // Reduce the column with every earlier rotation (rotation
+            // k'·p + t acts on rows k' + p − 1 − t and the one below),
+            // then eliminate its band bottom-up with p new ones, mirrored
+            // onto every projected right-hand side. The entry below the
+            // row being eliminated, `sub`, is real.
+            for (r, (&c, &s)) in ws.cs[..k * p].iter().zip(&ws.sn).enumerate() {
+                rotate(col, r / p + p - 1 - r % p, c, s);
             }
-            let nrm = gnorm2(&w);
-            col[k + p] = T::from_f64(nrm);
-            if nrm > 1e-300 {
-                T::slice_scale(&mut w, 1.0 / nrm);
-                v.push(w);
-            } else {
-                v.push(vec![T::ZERO; n]);
-            }
-            // Reduce the new column with all prior rotations, then
-            // eliminate its band (rows k+p … k+1, bottom-up) with p new
-            // ones, mirrored onto every projected RHS.
-            for rot in &rotations {
-                rot.apply(&mut col);
-            }
-            for j in 0..p {
-                g[j].push(T::ZERO);
-            }
+            let mut sub = nrm;
             for t in 0..p {
                 let row = k + p - 1 - t;
-                let (mut rot, rnew) = BlockRotation::eliminate(col[row], col[row + 1]);
-                rot.row = row;
-                col[row] = rnew;
-                col[row + 1] = T::ZERO;
-                for gj in g.iter_mut() {
-                    rot.apply(gj);
+                let denom = (col[row].modulus().powi(2) + sub * sub).sqrt();
+                let (c, s) = if denom == 0.0 {
+                    (T::ONE, T::ZERO)
+                } else {
+                    (col[row].scale_by(1.0 / denom), T::from_f64(sub / denom))
+                };
+                col[row] = T::from_f64(denom);
+                sub = denom;
+                (ws.cs[k * p + t], ws.sn[k * p + t]) = (c, s);
+                for gj in ws.g.chunks_mut(stride) {
+                    rotate(gj, row, c, s);
                 }
-                rotations.push(rot);
             }
-            col.truncate(k + 1);
-            hcols.push(col);
             k_used = k + 1;
-            // Per-RHS residual: the un-eliminated tail of g_j.
-            resid_max = 0.0;
-            for (gj, bn) in g.iter().zip(&bnorms) {
-                let t2: f64 = gj[k + 1..].iter().map(|e| e.modulus().powi(2)).sum();
-                resid_max = resid_max.max(t2.sqrt() / bn);
-            }
-            trace.push(resid_max);
-            monitor.observe(resid_max);
-            tail.push(resid_max);
-            if resid_max <= opts.tol {
+            resid = resid_max(&ws.g, stride, k + 1, &ws.bnorms);
+            trace.push(resid);
+            monitor.observe(resid);
+            tail.push(resid);
+            if resid <= opts.tol {
                 converged = true;
                 break;
             }
+            // A vanishing vector at p = 1 is a happy breakdown: the
+            // solution lies in the current space. In a block it is a
+            // dependent column, kept as a zero vector.
+            if normalize(w, nrm) && p == 1 {
+                break;
+            }
         }
-        // Back-substitute R·y_j = g_j[0..k_used] and update every RHS.
-        for (j, gj) in g.iter().enumerate() {
-            let mut y = vec![T::ZERO; k_used];
+        // Back-substitute R·y_j = g_j[..k_used] and update every x_j.
+        for (gj, x) in ws.g.chunks(stride).zip(xs.iter_mut()) {
             for i in (0..k_used).rev() {
                 let mut acc = gj[i];
                 for c in i + 1..k_used {
-                    acc -= hcols[c][i] * y[c];
+                    acc -= ws.h[c * stride + i] * ws.y[c];
                 }
-                if hcols[i][i] == T::ZERO {
-                    y[i] = T::ZERO;
-                } else {
-                    y[i] = acc / hcols[i][i];
-                }
+                let d = ws.h[i * stride + i];
+                ws.y[i] = if d == T::ZERO { T::ZERO } else { acc / d };
             }
-            for (c, yc) in y.iter().enumerate() {
-                T::slice_axpy(*yc, &v[c], &mut xs[j]);
+            for (yc, vc) in ws.y[..k_used].iter().zip(&ws.v) {
+                T::slice_axpy(*yc, vc, x);
             }
-        }
-        if converged {
-            let stats = IterStats { iterations: total_cols, residual: resid_max, matvecs };
-            note_block_gmres(trace, &stats, p, true);
-            return Ok((xs, stats));
         }
     }
-    let stats = IterStats { iterations: total_cols, residual: resid_max, matvecs };
-    note_block_gmres(trace, &stats, p, false);
-    Err(Error::NoConvergence {
-        iterations: total_cols,
-        residual: resid_max,
-        residual_tail: tail.to_vec(),
-    })
+    let stats = IterStats { iterations: total, residual: resid, matvecs };
+    note(block, trace, &stats, p, converged);
+    if converged {
+        Ok(stats)
+    } else {
+        Err(Error::NoConvergence {
+            iterations: total,
+            residual: resid,
+            residual_tail: tail.to_vec(),
+        })
+    }
 }
 
-/// Emits the iteration statistics of one block-GMRES solve.
-fn note_block_gmres(trace: telemetry::TraceBuf, stats: &IterStats, rhs: usize, converged: bool) {
+/// Modified Gram–Schmidt of `w` against `basis` through the dispatched
+/// slice kernels, writing the coefficients to `coef`; returns the norm of
+/// what is left.
+fn orthogonalize<T: Scalar>(basis: &[AlignedVec<T>], w: &mut [T], coef: &mut [T]) -> f64 {
+    for (vi, ci) in basis.iter().zip(coef) {
+        *ci = gdot(vi, w);
+        T::slice_axpy(-*ci, vi, w);
+    }
+    gnorm2(w)
+}
+
+/// Scales `w`, of norm `nrm`, to unit norm, or zeroes it when the norm
+/// vanished (a zero basis vector drops out of every inner product).
+/// Returns whether it vanished.
+fn normalize<T: Scalar>(w: &mut [T], nrm: f64) -> bool {
+    let vanished = nrm <= 1e-300;
+    if vanished {
+        w.fill(T::ZERO);
+    } else {
+        T::slice_scale(w, 1.0 / nrm);
+    }
+    vanished
+}
+
+/// Applies the Givens rotation `(c, s)` to rows `row` and `row + 1`:
+/// top ← c̄·top + s̄·bottom and bottom ← −s·top + c·bottom. With
+/// `c = a/r`, `s = b/r` for the pair (a, b) it sends (a, b) to (r, 0) and
+/// is unitary.
+fn rotate<T: Scalar>(col: &mut [T], row: usize, c: T, s: T) {
+    let (top, bot) = (col[row], col[row + 1]);
+    col[row] = c.conj() * top + s.conj() * bot;
+    col[row + 1] = -s * top + c * bot;
+}
+
+/// The largest relative residual over the right-hand sides: the norm of
+/// rows `lo..lo + p` of each rotated projected right-hand side, over its
+/// preconditioned right-hand-side norm. A NaN propagates.
+fn resid_max<T: Scalar>(g: &[T], stride: usize, lo: usize, bnorms: &[f64]) -> f64 {
+    let rows = lo..lo + bnorms.len();
+    g.chunks(stride)
+        .zip(bnorms)
+        .map(|(gj, bn)| gj[rows.clone()].iter().fold(0.0, |s: f64, e| s.hypot(e.modulus())) / bn)
+        .fold(0.0, |m, r| if r.is_nan() || r > m { r } else { m })
+}
+
+/// Emits the iteration statistics of one solve into telemetry.
+fn note(block: bool, trace: telemetry::TraceBuf, stats: &IterStats, p: usize, converged: bool) {
     trace.commit(converged);
-    telemetry::counter_add("krylov.block_gmres.solves", 1);
-    telemetry::counter_add("krylov.block_gmres.rhs", rhs as u64);
-    telemetry::counter_add("krylov.block_gmres.iterations", stats.iterations as u64);
-    telemetry::counter_add("krylov.block_gmres.matvecs", stats.matvecs as u64);
-    telemetry::histogram_record("krylov.block_gmres.iterations_per_solve", stats.iterations as f64);
+    let [solves, iterations, matvecs, per_solve] = if block {
+        [
+            "krylov.block_gmres.solves",
+            "krylov.block_gmres.iterations",
+            "krylov.block_gmres.matvecs",
+            "krylov.block_gmres.iterations_per_solve",
+        ]
+    } else {
+        [
+            "krylov.gmres.solves",
+            "krylov.gmres.iterations",
+            "krylov.gmres.matvecs",
+            "krylov.gmres.iterations_per_solve",
+        ]
+    };
+    telemetry::counter_add(solves, 1);
+    telemetry::counter_add(iterations, stats.iterations as u64);
+    telemetry::counter_add(matvecs, stats.matvecs as u64);
+    telemetry::histogram_record(per_solve, stats.iterations as f64);
+    if block {
+        telemetry::counter_add("krylov.block_gmres.rhs", p as u64);
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dense::Mat;
-    use crate::sparse::Triplets;
     use crate::Complex;
 
     fn spd_system(n: usize) -> (Mat<f64>, Vec<f64>, Vec<f64>) {
@@ -1092,84 +841,6 @@ mod tests {
     }
 
     #[test]
-    fn ilu0_exact_for_no_fill_patterns() {
-        // A tridiagonal matrix factors with no fill, so ILU(0) is the
-        // exact LU and GMRES converges in one iteration.
-        let n = 60;
-        let mut t = Triplets::new(n, n);
-        for i in 0..n {
-            t.push(i, i, 4.0);
-            if i > 0 {
-                t.push(i, i - 1, -1.0);
-            }
-            if i + 1 < n {
-                t.push(i, i + 1, -1.0);
-            }
-        }
-        let a = t.to_csr();
-        let pc = Ilu0::new(&a).unwrap();
-        let xref: Vec<f64> = (0..n).map(|i| (i as f64 * 0.2).cos()).collect();
-        let b = a.matvec(&xref);
-        let (x, stats) = gmres(&a, &b, None, &pc, &KrylovOptions::default()).unwrap();
-        assert!(stats.iterations <= 2, "iterations = {}", stats.iterations);
-        for (xi, ri) in x.iter().zip(&xref) {
-            assert!((xi - ri).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn ilu0_accelerates_grid_laplacian() {
-        // 2-D Laplacian has fill, so ILU(0) is inexact but still cuts the
-        // iteration count well below unpreconditioned GMRES.
-        let m = 14;
-        let n = m * m;
-        let mut t = Triplets::new(n, n);
-        for i in 0..m {
-            for j in 0..m {
-                let r = i * m + j;
-                t.push(r, r, 4.0);
-                if i > 0 {
-                    t.push(r, r - m, -1.0);
-                }
-                if i + 1 < m {
-                    t.push(r, r + m, -1.0);
-                }
-                if j > 0 {
-                    t.push(r, r - 1, -1.0);
-                }
-                if j + 1 < m {
-                    t.push(r, r + 1, -1.0);
-                }
-            }
-        }
-        let a = t.to_csr();
-        let b: Vec<f64> = (0..n).map(|i| ((i * 13) % 7) as f64 - 3.0).collect();
-        let opts = KrylovOptions { tol: 1e-9, ..Default::default() };
-        let (_, plain) = gmres(&a, &b, None, &IdentityPrecond, &opts).unwrap();
-        let pc = Ilu0::new(&a).unwrap();
-        let (x, with) = gmres(&a, &b, None, &pc, &opts).unwrap();
-        assert!(
-            with.iterations * 2 < plain.iterations,
-            "ilu0 {} vs plain {}",
-            with.iterations,
-            plain.iterations
-        );
-        let ax = a.matvec(&x);
-        for (l, r) in ax.iter().zip(&b) {
-            assert!((l - r).abs() < 1e-6);
-        }
-    }
-
-    #[test]
-    fn ilu0_rejects_zero_diagonal() {
-        let mut t = Triplets::new(2, 2);
-        t.push(0, 1, 1.0);
-        t.push(1, 0, 1.0);
-        let a = t.to_csr();
-        assert!(matches!(Ilu0::new(&a), Err(Error::Singular(_))));
-    }
-
-    #[test]
     fn precond_failure_propagates_not_panics() {
         // A preconditioner whose inner solve fails must surface the error
         // through gmres instead of panicking mid-iteration.
@@ -1240,14 +911,67 @@ mod tests {
 
     #[test]
     fn block_gmres_single_rhs_matches_gmres() {
+        // One loop: at p = 1 the block solve is GMRES, bit for bit, across
+        // restarts and from an explicit start.
         let (a, b, _) = spd_system(30);
-        let opts = KrylovOptions::default();
-        let (xs, _) =
-            block_gmres(&a, std::slice::from_ref(&b), None, &IdentityPrecond, &opts).unwrap();
-        let (xref, _) = gmres(&a, &b, None, &IdentityPrecond, &opts).unwrap();
-        for (xi, ri) in xs[0].iter().zip(&xref) {
-            assert!((xi - ri).abs() < 1e-9);
+        let diag: Vec<f64> = (0..30).map(|i| a[(i, i)]).collect();
+        let pc = JacobiPrecond::from_diagonal(&diag);
+        let opts = KrylovOptions { restart: 4, ..Default::default() };
+        let x0 = vec![0.5; 30];
+        for start in [None, Some(&x0)] {
+            let (xs, s) = block_gmres(
+                &a,
+                std::slice::from_ref(&b),
+                start.map(std::slice::from_ref),
+                &pc,
+                &opts,
+            )
+            .unwrap();
+            let (xref, sref) = gmres(&a, &b, start.map(Vec::as_slice), &pc, &opts).unwrap();
+            assert_eq!(s, sref);
+            for (xi, ri) in xs[0].iter().zip(&xref) {
+                assert_eq!(xi.to_bits(), ri.to_bits());
+            }
         }
+    }
+
+    #[test]
+    fn block_gmres_from_zero_skips_the_first_residual_products() {
+        // A block solve from `None` starts from the preconditioned
+        // right-hand sides: p fewer operator applications than a start
+        // from explicit zeros, and the same iterates.
+        let (a, b, _) = spd_system(30);
+        let b2: Vec<f64> = b.iter().enumerate().map(|(i, v)| v * (i as f64 * 0.3).cos()).collect();
+        let bs = vec![b, b2];
+        let opts = KrylovOptions { restart: 60, ..Default::default() };
+        let (xs, s) = block_gmres(&a, &bs, None, &IdentityPrecond, &opts).unwrap();
+        let zeros = vec![vec![0.0; 30]; 2];
+        let (xz, sz) = block_gmres(&a, &bs, Some(&zeros), &IdentityPrecond, &opts).unwrap();
+        assert_eq!(s.matvecs, s.iterations);
+        assert_eq!(sz.matvecs, sz.iterations + 2);
+        assert_eq!(s.iterations, sz.iterations);
+        assert_eq!(xs, xz);
+    }
+
+    #[test]
+    fn vanishing_arnoldi_vector_ends_the_cycle() {
+        // A = 2·I keeps span{b} invariant, so the first Arnoldi vector
+        // vanishes exactly. Under an unreachable tolerance each cycle then
+        // stops after one column and restarts, instead of iterating on a
+        // zero vector: one product per column plus one per restart.
+        let calls = std::cell::Cell::new(0);
+        let op = FnOperator::new(8, |x: &[f64], y: &mut [f64]| {
+            calls.set(calls.get() + 1);
+            for (yi, xi) in y.iter_mut().zip(x) {
+                *yi = 2.0 * xi;
+            }
+        });
+        let mut b = vec![0.0; 8];
+        b[0] = 1.0;
+        let opts = KrylovOptions { tol: -1.0, max_iters: 4, restart: 8 };
+        let err = gmres(&op, &b, None, &IdentityPrecond, &opts).unwrap_err();
+        assert!(matches!(err, Error::NoConvergence { iterations: 4, .. }), "{err:?}");
+        assert_eq!(calls.get(), 4 + 3);
     }
 
     #[test]

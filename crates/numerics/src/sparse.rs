@@ -75,51 +75,26 @@ impl<T: Scalar> Triplets<T> {
         self.entries.is_empty()
     }
 
-    /// Converts to CSR, summing duplicates and dropping exact zeros.
+    /// Converts to CSR, summing duplicates in push order and dropping
+    /// exact zeros: [`Triplets::to_pattern`] without its structural zeros.
     pub fn to_csr(&self) -> Csr<T> {
-        let mut counts = vec![0usize; self.rows + 1];
-        for &(i, _, _) in &self.entries {
-            counts[i + 1] += 1;
-        }
-        for i in 0..self.rows {
-            counts[i + 1] += counts[i];
-        }
-        let mut col_idx = vec![0usize; self.entries.len()];
-        let mut vals = vec![T::ZERO; self.entries.len()];
-        let mut next = counts.clone();
-        for &(i, j, v) in &self.entries {
-            let k = next[i];
-            col_idx[k] = j;
-            vals[k] = v;
-            next[i] += 1;
-        }
-        // Sort each row by column and merge duplicates.
-        let mut row_ptr = vec![0usize; self.rows + 1];
-        let mut out_cols = Vec::with_capacity(self.entries.len());
-        let mut out_vals = Vec::with_capacity(self.entries.len());
-        for i in 0..self.rows {
-            let lo = counts[i];
-            let hi = counts[i + 1];
-            let mut row: Vec<(usize, T)> = (lo..hi).map(|k| (col_idx[k], vals[k])).collect();
-            row.sort_by_key(|&(c, _)| c);
-            let mut idx = 0;
-            while idx < row.len() {
-                let c = row[idx].0;
-                let mut v = row[idx].1;
-                let mut k = idx + 1;
-                while k < row.len() && row[k].0 == c {
-                    v += row[k].1;
-                    k += 1;
+        let mut a = self.to_pattern();
+        let mut kept = 0;
+        for i in 0..a.rows {
+            let row = a.row_ptr[i]..a.row_ptr[i + 1];
+            a.row_ptr[i] = kept;
+            for k in row {
+                if a.vals[k] != T::ZERO {
+                    a.col_idx[kept] = a.col_idx[k];
+                    a.vals[kept] = a.vals[k];
+                    kept += 1;
                 }
-                if v != T::ZERO {
-                    out_cols.push(c);
-                    out_vals.push(v);
-                }
-                idx = k;
             }
-            row_ptr[i + 1] = out_cols.len();
         }
-        Csr { rows: self.rows, cols: self.cols, row_ptr, col_idx: out_cols, vals: out_vals }
+        a.row_ptr[a.rows] = kept;
+        a.col_idx.truncate(kept);
+        a.vals.truncate(kept);
+        a
     }
 
     /// Drops every entry, keeping the allocation, and resets the shape —

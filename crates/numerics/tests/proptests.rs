@@ -7,7 +7,7 @@ use rfsim_numerics::fft::{dft, fft_pow2, idft, ifft_pow2};
 use rfsim_numerics::krylov::{gmres, IdentityPrecond, KrylovOptions};
 use rfsim_numerics::sparse::{Csr, SparseLu, Triplets};
 use rfsim_numerics::svd::Svd;
-use rfsim_numerics::Complex;
+use rfsim_numerics::{Complex, Scalar};
 use std::collections::BTreeMap;
 
 fn finite_f64() -> impl Strategy<Value = f64> {
@@ -181,8 +181,49 @@ fn agrees_with_dense(lu: &SparseLu<Complex>, a: &Csr<Complex>) -> Result<(), Str
     Ok(())
 }
 
+/// Triplet values whose sums cancel exactly or round differently by
+/// order, with both signed zeros.
+const TRIPLET_VALUES: [f64; 8] = [-0.0, 0.0, 0.1, 0.2, 0.3, -0.3, 1.0, -1.0];
+
+/// Checks `to_pattern` and `to_csr` against duplicates summed in push
+/// order from zero: the pattern keeps every stamped position, and
+/// `to_csr` is that pattern without its exact zeros, bit for bit.
+fn check_triplet_sums<T: Scalar>(
+    t: &Triplets<T>,
+    bits: impl Fn(T) -> (u64, u64),
+) -> Result<(), String> {
+    let mut sums = BTreeMap::new();
+    for &(i, j, v) in t.entries() {
+        *sums.entry((i, j)).or_insert(T::ZERO) += v;
+    }
+    let pattern: Vec<_> = t.to_pattern().iter().map(|(i, j, v)| (i, j, bits(v))).collect();
+    let expect: Vec<_> = sums.iter().map(|(&(i, j), &v)| (i, j, bits(v))).collect();
+    prop_assert_eq!(pattern, expect);
+    let csr: Vec<_> = t.to_csr().iter().map(|(i, j, v)| (i, j, bits(v))).collect();
+    let nonzero: Vec<_> =
+        sums.iter().filter(|(_, &v)| v != T::ZERO).map(|(&(i, j), &v)| (i, j, bits(v))).collect();
+    prop_assert_eq!(csr, nonzero);
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Real and complex triplet sets with duplicates, signed zeros and
+    /// sums that cancel.
+    #[test]
+    fn to_csr_is_the_pattern_without_exact_zeros(
+        entries in proptest::collection::vec((0usize..6, 0usize..6, 0usize..8, 0usize..8), 0..60),
+    ) {
+        let mut real = Triplets::new(6, 6);
+        let mut complex = Triplets::new(6, 6);
+        for &(i, j, a, b) in &entries {
+            real.push(i, j, TRIPLET_VALUES[a]);
+            complex.push(i, j, Complex::new(TRIPLET_VALUES[a], TRIPLET_VALUES[b]));
+        }
+        check_triplet_sums(&real, |v| (v.to_bits(), 0))?;
+        check_triplet_sums(&complex, |v| (v.re.to_bits(), v.im.to_bits()))?;
+    }
 
     /// Factors refactored on another draw's analysis solve as a fresh
     /// factorization and the dense LU do: `b` reuses `a`'s analysis
